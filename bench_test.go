@@ -72,9 +72,6 @@ func BenchmarkE1TIDScalingPrepared(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := pl.Probability(p); err != nil { // warm the transition tables
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -112,9 +109,6 @@ func BenchmarkE1Batched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pl.Freeze(); err != nil {
-		b.Fatal(err)
-	}
 	for _, lanes := range []int{1, 8, 16, 64, 256} {
 		ps := sweepMaps(tid, lanes)
 		b.Run(fmt.Sprintf("lanes=%d/n=800", lanes), func(b *testing.B) {
@@ -129,7 +123,7 @@ func BenchmarkE1Batched(b *testing.B) {
 	}
 }
 
-// BenchmarkE1Parallel measures concurrent serving of one shared frozen plan
+// BenchmarkE1Parallel measures concurrent serving of one shared plan
 // on E1 n=800: b.N independent evaluations split over g goroutines. ns/op is
 // wall-clock per evaluation, so ideal scaling divides it by g.
 func BenchmarkE1Parallel(b *testing.B) {
@@ -137,9 +131,6 @@ func BenchmarkE1Parallel(b *testing.B) {
 	tid := gen.RSTChain(800, 0.5)
 	pl, p, err := core.PrepareTID(tid, q, core.Options{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := pl.Freeze(); err != nil {
 		b.Fatal(err)
 	}
 	for _, g := range []int{1, 4, 8} {
@@ -172,8 +163,7 @@ func BenchmarkE1Parallel(b *testing.B) {
 // BenchmarkE1Update measures incremental maintenance on E1 n=800: a
 // single-tuple SetProb plus the refreshed probability through a live
 // materialized view (internal/incr), against re-Prepare + evaluate as the
-// baseline a snapshot engine would pay. The ns/update metric lands in
-// BENCH_BASELINE.json as ns_per_update.
+// baseline a snapshot engine would pay.
 func BenchmarkE1Update(b *testing.B) {
 	q := rel.HardQuery()
 	tid := gen.RSTChain(800, 0.5)
@@ -295,31 +285,29 @@ func BenchmarkE1Update(b *testing.B) {
 }
 
 // BenchmarkE1JoinHeavy is the join-merge regression guard: a partial 3-tree
-// instance whose branching decomposition is dense in NiceJoin nodes, under
-// the prepared scalar path (the bits-sorted run merge in computeNode) and the
-// frozen compiled-program path. The quadratic all-pairs join scan this
-// replaced made this shape superlinearly slower.
+// instance whose branching decomposition is dense in NiceJoin nodes.
+// compile/ runs Prepare, whose row-program compile merges each join's
+// bits-indexed runs; eval/ runs the compiled program alone. The quadratic
+// all-pairs join scan the merge replaced made this shape superlinearly
+// slower.
 func BenchmarkE1JoinHeavy(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
 	g, _ := gen.PartialKTree(120, 3, 0.6, r)
 	tid := gen.RSTOverGraph(g, 0.05, 0.3, r)
 	q := rel.HardQuery()
-	pl, p, err := core.PrepareTID(tid, q, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("dp/n=120", func(b *testing.B) {
+	b.Run("compile/n=120", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.Probability(p); err != nil {
+			if _, _, err := core.PrepareTID(tid, q, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	if err := pl.Freeze(); err != nil {
+	pl, p, err := core.PrepareTID(tid, q, core.Options{})
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("prog/n=120", func(b *testing.B) {
+	b.Run("eval/n=120", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pl.Probability(p); err != nil {
@@ -333,10 +321,8 @@ func BenchmarkE1JoinHeavy(b *testing.B) {
 // the instance is K disjoint chains, 720 facts in total, served through one
 // live hard-query view. A SetProb dirties only its owning shard's spine, so
 // ns/update falls as K grows while the instance size stays fixed; shards=1
-// is the unsharded baseline on the same fact count. The ns/update metric
-// lands in BENCH_BASELINE.json as ns_per_update (with the shard count as
-// "shards"), which is the recorded evidence that sharded update cost scales
-// with the dirty shard, not the instance.
+// is the unsharded baseline on the same fact count: the evidence that
+// sharded update cost scales with the dirty shard, not the instance.
 func BenchmarkE1ShardedUpdate(b *testing.B) {
 	q := rel.HardQuery()
 	const links = 240 // 3 facts per link
@@ -478,9 +464,6 @@ func BenchmarkE5HardQueryPrepared(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			pl, p, err := core.PrepareTID(tc.tid, q, core.Options{})
 			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pl.Probability(p); err != nil { // warm the transition tables
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -690,7 +673,7 @@ func BenchmarkE13Service(b *testing.B) {
 	}
 
 	// The batched sweep path: one request carrying 64 assignment lanes
-	// through the frozen snapshot plan's multi-lane DP.
+	// through the snapshot plan's multi-lane row program.
 	b.Run("batch/lanes=64", func(b *testing.B) {
 		s, err := server.New(tid, server.Config{})
 		if err != nil {

@@ -130,10 +130,6 @@ func e1Sweep(q rel.CQ) {
 		fmt.Println("    error:", err)
 		return
 	}
-	if err := pl.Freeze(); err != nil {
-		fmt.Println("    error:", err)
-		return
-	}
 	ps := make([]logic.Prob, lanes)
 	for i := range ps {
 		m := make(logic.Prob, len(base))
@@ -779,10 +775,6 @@ func e12() {
 			fmt.Println("    error:", errP)
 		}
 	})
-	if err := sp.Freeze(); err != nil {
-		fmt.Println("    error:", err)
-		return
-	}
 	if _, err := sp.Probability(p); err != nil { // warm
 		fmt.Println("    error:", err)
 		return

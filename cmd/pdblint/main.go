@@ -3,7 +3,7 @@
 // and fuzz oracles are the dynamic half). It machine-checks the contracts
 // the PR 3–9 stack documents in prose — no callbacks under the store lock,
 // fixed-enum metric labels, fmt-free hot paths with live bounds hints,
-// write-free frozen plans, slog-only internal logging.
+// write-free plan evaluation, slog-only internal logging.
 //
 // It runs two ways:
 //

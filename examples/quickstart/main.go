@@ -83,7 +83,7 @@ func main() {
 	// with only the cheap numeric pass. The sweep runs as ONE multi-lane
 	// batched evaluation: the row dynamic program executes once and carries
 	// a weight lane per sweep value (see also core.Serve for fanning
-	// independent requests over a worker pool against the same frozen plan).
+	// independent requests over a worker pool against the same plan).
 	plan, probs, err := core.PrepareTID(tid, q, core.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -113,7 +113,7 @@ func main() {
 	}
 
 	// A batched sensitivity sweep over P(R(a)) in one request: 5 lanes, one
-	// multi-lane DP pass on a frozen snapshot plan.
+	// multi-lane row-program pass on a snapshot plan.
 	lanes := []map[string]float64{{"0": 0.1}, {"0": 0.3}, {"0": 0.5}, {"0": 0.7}, {"0": 0.9}}
 	br := post("/batch", map[string]any{"query": "R(?x) & S(?x,?y) & T(?y)", "assignments": lanes})
 	fmt.Print("batch sweep over P(R): ")

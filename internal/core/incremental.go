@@ -22,11 +22,12 @@ import (
 // probability-independent row keys) and a flat value vector (vals[t]),
 // recomputed through the node's compiled row program (progs[t], see
 // rowprog.go) — so a spine recompute is pure kernel arithmetic over
-// contiguous memory, with no map traffic. Programs compile lazily on first
-// use and survive until a structure splice invalidates them.
+// contiguous memory, with no map traffic. The layouts and programs are the
+// plan's own, compiled by Prepare; only a structure splice (StageAttach)
+// recompiles the programs above it, into the view's own slices.
 //
-// Updates are staged (Stage, StageAttach) and applied by Commit/CommitDelta,
-// which propagate *changes* in a single bottom-up sweep: a staged node is
+// Updates are staged (Stage, StageAttach) and applied by CommitDelta, which
+// propagates *changes* in a single bottom-up sweep: a staged node is
 // recomputed in full and diffed against its persisted table, and from there
 // on each ancestor recomputes only the rows its child's changed rows feed
 // (the compiled edge lists make the affected-row indexing free). Propagation
@@ -44,22 +45,22 @@ import (
 // A Materialized view is single-writer: it must be confined to one goroutine
 // (or externally locked, as incr.Store does). It may share its plan with
 // ordinary Probability/Result calls — those use their own pooled state — but
-// StageAttach mutates the plan's structure, after which any *other*
-// Materialized view of the same plan becomes stale and refuses further
-// operations. One live-updated plan therefore carries exactly one view.
+// StageAttach mutates the plan's structure, after which plan-level
+// evaluation and any *other* Materialized view of the same plan fail with a
+// structure-changed error. One live-updated plan therefore carries exactly
+// one view.
 type Materialized struct {
 	pl        *Plan
 	pe        []float64   // current per-event weights
 	layouts   [][]rowKey  // persisted per-node row layouts
 	vals      [][]float64 // persisted per-node row values, same order
-	progs     []*nodeProg // lazily compiled per-node row programs
+	progs     []*nodeProg // per-node row programs, same order
+	deltas    []*deltaIdx // per-node delta adjacency, built on first partial recompute
 	dirty     []uint8     // per-node sweep flag: dirtyNone/dirtyDelta/dirtyFull
 	anyDirty  bool
 	prob      float64
 	recomp    int    // cumulative node recomputations, for cost accounting
 	structGen uint64 // plan structure generation this view tracks
-	commitGen uint64 // bumped by every Commit that changed the root table;
-	// lets a ShardCombiner skip shards whose tables are unchanged
 
 	// Delta-pass state: per-node changed-row sets, valid for one CommitDelta
 	// generation, plus the reusable scratch the pass runs in.
@@ -91,20 +92,23 @@ const (
 	dirtyFull
 )
 
-// Materialize runs one full evaluation of the plan under p and keeps every
-// node table, returning the live view. The plan may be frozen if only event
-// probabilities will change (the freeze pass visited every transition the
-// recomputations can need); StageAttach additionally requires it unfrozen.
+// Materialize adopts the plan's compiled per-node programs and layouts,
+// runs one full sweep under p keeping every node table, and returns the live
+// view. It compiles nothing.
 func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if pl.prog.gen != pl.structGen {
+		return nil, errStructureChanged
+	}
 	m := &Materialized{
 		pl:        pl,
 		pe:        make([]float64, len(pl.events)),
-		layouts:   make([][]rowKey, len(pl.nodes)),
+		layouts:   append([][]rowKey(nil), pl.prog.layouts...),
 		vals:      make([][]float64, len(pl.nodes)),
-		progs:     make([]*nodeProg, len(pl.nodes)),
+		progs:     append([]*nodeProg(nil), pl.prog.nodes...),
+		deltas:    make([]*deltaIdx, len(pl.nodes)),
 		dirty:     make([]uint8, len(pl.nodes)),
 		structGen: pl.structGen,
 	}
@@ -115,7 +119,7 @@ func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 		m.dirty[t] = dirtyFull
 	}
 	m.anyDirty = true
-	if _, err := m.Commit(); err != nil {
+	if _, err := m.CommitDelta(); err != nil {
 		return nil, err
 	}
 	m.recomp = 0 // the initial build is not an update cost
@@ -123,12 +127,12 @@ func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 }
 
 // Probability returns the query probability under the view's current event
-// weights, as of the last Commit.
+// weights, as of the last CommitDelta.
 func (m *Materialized) Probability() float64 { return m.prob }
 
 // Recomputed returns the cumulative number of node tables recomputed by
-// Commit since Materialize — the incremental work actually paid, which tests
-// and stats compare against the full table count.
+// CommitDelta since Materialize — the incremental work actually paid, which
+// tests and stats compare against the full table count.
 func (m *Materialized) Recomputed() int { return m.recomp }
 
 // NumNodes returns the current number of nice nodes (and persisted tables).
@@ -136,13 +140,13 @@ func (m *Materialized) NumNodes() int { return len(m.pl.nodes) }
 
 func (m *Materialized) check() error {
 	if m.structGen != m.pl.structGen {
-		return fmt.Errorf("core: the plan's structure changed under this Materialized view")
+		return errStructureChanged
 	}
 	return nil
 }
 
 // Stage records a new probability for event e without recomputing anything:
-// it updates the weight and marks the event's forget node dirty. Commit
+// it updates the weight and marks the event's forget node dirty. CommitDelta
 // applies all staged changes at once.
 func (m *Materialized) Stage(e logic.Event, pr float64) error {
 	if err := m.check(); err != nil {
@@ -171,7 +175,8 @@ func (m *Materialized) Stage(e logic.Event, pr float64) error {
 // StageAttach absorbs a brand-new fact into the live view: fact fi, already
 // appended to the instance the plan was prepared on, is spliced into the
 // compiled structure under the fresh event e with probability pr (see
-// Plan.attachFact), and the new nodes are marked dirty for the next Commit.
+// Plan.attachFact), and the new nodes are marked dirty for the next
+// CommitDelta. Plan-level evaluation of the plan fails from here on.
 // The plan's query must implement FactExtender, and f must not have been a
 // fact of the instance before (re-adding an existing fact merges annotations
 // in the instance but would home the fact twice in the plan; callers revive
@@ -198,18 +203,21 @@ func (m *Materialized) StageAttach(f rel.Fact, fi int, e logic.Event, pr float64
 	m.structGen = m.pl.structGen
 	// The spliced introduce/forget pair holds the last two node indices;
 	// their nil programs and tables are compiled and built by the next
-	// Commit.
+	// CommitDelta.
 	m.pe = append(m.pe, pr)
 	m.layouts = append(m.layouts, nil, nil)
 	m.vals = append(m.vals, nil, nil)
 	m.progs = append(m.progs, nil, nil)
+	m.deltas = append(m.deltas, nil, nil)
 	m.dirty = append(m.dirty, dirtyFull, dirtyFull)
 	// The splice changes the row layout flowing up from the attach point
 	// (the fact transition can mint new state sets), so every ancestor's
 	// compiled program — wired against the old child layouts — is stale:
-	// drop them for lazy recompilation during the commit sweep.
+	// drop them for recompilation during the commit sweep. This is the one
+	// place a transition cache can still miss.
 	for a := m.pl.parents[forget]; a >= 0; a = m.pl.parents[a] {
 		m.progs[a] = nil
+		m.deltas[a] = nil
 		m.dirty[a] = dirtyFull
 	}
 	m.anyDirty = true
@@ -228,13 +236,6 @@ type CommitStats struct {
 	Changed       bool // the root table (and so Probability) changed
 }
 
-// Commit applies the staged changes and returns the number of node tables
-// recomputed. It is CommitDelta for callers that only track node counts.
-func (m *Materialized) Commit() (int, error) {
-	cs, err := m.CommitDelta()
-	return cs.Nodes, err
-}
-
 // CommitDelta applies every staged change as one bottom-up change
 // propagation. A staged node (new weight, fresh splice) is recomputed in
 // full and diffed against its persisted table; an ancestor reached only
@@ -243,7 +244,7 @@ func (m *Materialized) Commit() (int, error) {
 // bit-identical to a full recompute. A node whose recomputed table is
 // unchanged propagates nothing — the walk stops there instead of running to
 // the root — and when the root table itself is untouched the commit leaves
-// Probability (and the commit generation a ShardCombiner caches on) alone.
+// Probability alone.
 // Spines shared between staged updates are recomputed once.
 func (m *Materialized) CommitDelta() (CommitStats, error) {
 	var cs CommitStats
@@ -288,7 +289,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		np := m.progs[t]
 		recompiled := false
 		if np == nil {
-			m.layouts[t], np = m.pl.compileNodeProg(t, m.layouts)
+			m.layouts[t], np = m.pl.compileNodeProg(t, m.layouts, map[rowKey]int32{})
 			m.progs[t] = np
 			recompiled = true
 		}
@@ -328,7 +329,10 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		case full:
 			changed, dense = m.commitFull(t, np, c0, c1, w, recompiled, m.changedRows[t][:0], &cs)
 		default:
-			changed = m.commitPartial(np, m.vals[t], c0, c1, w, ch0, ch1, m.changedRows[t][:0], &cs)
+			if m.deltas[t] == nil {
+				m.deltas[t] = np.buildDeltaIdx(len(c0), len(c1))
+			}
+			changed = m.commitPartial(np, m.deltas[t], m.vals[t], c0, c1, w, ch0, ch1, m.changedRows[t][:0], &cs)
 		}
 		cs.Nodes++
 		switch {
@@ -363,7 +367,6 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		return cs, nil // the root table is untouched; Probability stands
 	}
 	cs.Changed = true
-	m.commitGen++
 	var prob, mass float64
 	rootVals := m.vals[root]
 	for i, k := range m.layouts[root] {
@@ -449,7 +452,7 @@ func (m *Materialized) commitTrusted(t int, np *nodeProg, c0, c1 []float64, w fl
 }
 
 // deltaIdx is the lazily built adjacency of one compiled row program, used
-// by the partial commit pass. The forward index (srcN*) maps a child row to
+// by the partial commit pass and owned by the view that built it. The forward index (srcN*) maps a child row to
 // the rows it feeds, for marking; the inverse index (dst*) maps a row to its
 // contributions in program order, for re-accumulation. Both passes therefore
 // touch only edges incident to the change, instead of scanning the whole
@@ -460,7 +463,7 @@ type deltaIdx struct {
 	src1Start []int32 // CSR over child1 rows (joins only)
 	src1Dst   []int32
 	dstStart  []int32 // CSR over this node's rows: contributions, program order
-	dstSrc    []int32 // pkUnary: src row; pkForgetEvent: src<<1 | (0 for e1, 1 for e0)
+	dstSrc    []int32 // pkUnary: src row; pkForgetEvent: src<<1 | (0 for weight w, 1 for 1-w)
 	dstL      []int32 // pkJoin: left source rows
 	dstR      []int32 // pkJoin: right source rows
 }
@@ -502,24 +505,22 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 			func(i int) int32 { return np.edges[i].dst },
 			func(i, s int) { di.dstSrc[s] = np.edges[i].src })
 	case pkForgetEvent:
-		// One merged edge list in program order — all e1 (weight w), then
-		// all e0 (weight 1-w) — with the branch encoded in the low bit.
-		n1 := len(np.e1)
-		n := n1 + len(np.e0)
-		at := func(i int) (rpEdge, int32) {
-			if i < n1 {
-				return np.e1[i], 0
-			}
-			return np.e0[i-n1], 1
-		}
-		di.src0Dst = make([]int32, n)
-		di.src0Start = csr32(nc0, n,
-			func(i int) int32 { e, _ := at(i); return e.src },
-			func(i, s int) { e, _ := at(i); di.src0Dst[s] = e.dst })
-		di.dstSrc = make([]int32, n)
-		di.dstStart = csr32(np.rows, n,
-			func(i int) int32 { e, _ := at(i); return e.dst },
-			func(i, s int) { e, k := at(i); di.dstSrc[s] = e.src<<1 | k })
+		// The edge list in program order — edges[:split] with weight w, then
+		// edges[split:] with weight 1-w — with the branch encoded in the low
+		// bit.
+		di.src0Dst = make([]int32, len(np.edges))
+		di.src0Start = csr32(nc0, len(np.edges),
+			func(i int) int32 { return np.edges[i].src },
+			func(i, s int) { di.src0Dst[s] = np.edges[i].dst })
+		di.dstSrc = make([]int32, len(np.edges))
+		di.dstStart = csr32(np.rows, len(np.edges),
+			func(i int) int32 { return np.edges[i].dst },
+			func(i, s int) {
+				di.dstSrc[s] = np.edges[i].src << 1
+				if i >= int(np.split) {
+					di.dstSrc[s] |= 1
+				}
+			})
 	case pkJoin:
 		di.src0Dst = make([]int32, len(np.joins))
 		di.src0Start = csr32(nc0, len(np.joins),
@@ -535,7 +536,6 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 			func(i int) int32 { return np.joins[i].dst },
 			func(i, s int) { di.dstL[s], di.dstR[s] = np.joins[i].l, np.joins[i].r })
 	}
-	np.delta = di
 	return di
 }
 
@@ -547,11 +547,7 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 // unaffected rows (whose inputs are untouched) already are. Work is
 // proportional to the edges incident to the changed and affected rows, not
 // to the program size.
-func (m *Materialized) commitPartial(np *nodeProg, vals, c0, c1 []float64, w float64, ch0, ch1 []int32, changed []int32, cs *CommitStats) []int32 {
-	di := np.delta
-	if di == nil {
-		di = np.buildDeltaIdx(len(c0), len(c1))
-	}
+func (m *Materialized) commitPartial(np *nodeProg, di *deltaIdx, vals, c0, c1 []float64, w float64, ch0, ch1 []int32, changed []int32, cs *CommitStats) []int32 {
 	m.markGen++
 	mg := m.markGen
 	dst := ensureMark(&m.dstMark, np.rows)
@@ -628,22 +624,4 @@ func ensureMark(buf *[]uint64, n int) []uint64 {
 		*buf = make([]uint64, n)
 	}
 	return (*buf)[:n]
-}
-
-// SetEventProb stages a single event-probability change and commits it,
-// returning the number of node tables recomputed (at most depth+1).
-func (m *Materialized) SetEventProb(e logic.Event, pr float64) (int, error) {
-	if err := m.Stage(e, pr); err != nil {
-		return 0, err
-	}
-	return m.Commit()
-}
-
-// AttachFact stages the absorption of a new fact and commits it. See
-// StageAttach for the contract.
-func (m *Materialized) AttachFact(f rel.Fact, fi int, e logic.Event, pr float64) (int, error) {
-	if err := m.StageAttach(f, fi, e, pr); err != nil {
-		return 0, err
-	}
-	return m.Commit()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,12 +54,15 @@ func TestMaterializedMatchesEval(t *testing.T) {
 				e := events[r.Intn(len(events))]
 				pr := float64(r.Intn(11)) / 10
 				p[e] = pr
-				n, err := m.SetEventProb(e, pr)
+				if err := m.Stage(e, pr); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				cs, err := m.CommitDelta()
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				if n > m.NumNodes() {
-					t.Fatalf("step %d: recomputed %d of %d nodes", step, n, m.NumNodes())
+				if cs.Nodes > m.NumNodes() {
+					t.Fatalf("step %d: recomputed %d of %d nodes", step, cs.Nodes, m.NumNodes())
 				}
 				want, err := pl.Probability(p)
 				if err != nil {
@@ -88,12 +92,15 @@ func TestMaterializedSpineIsSublinear(t *testing.T) {
 	depth := pl.Shape().Depth
 	updates := 0
 	for i := 0; i < tid.NumFacts(); i += 7 {
-		n, err := m.SetEventProb(tid.EventOf(i), 0.25)
+		if err := m.Stage(tid.EventOf(i), 0.25); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := m.CommitDelta()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n > depth+1 {
-			t.Fatalf("fact %d: recomputed %d nodes, depth is %d", i, n, depth)
+		if cs.Nodes > depth+1 {
+			t.Fatalf("fact %d: recomputed %d nodes, depth is %d", i, cs.Nodes, depth)
 		}
 		updates++
 	}
@@ -126,17 +133,20 @@ func TestMaterializedBatchSharesSpines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nBatch, err := batched.Commit()
+	csBatch, err := batched.CommitDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nSerial := 0
+	nBatch, nSerial := csBatch.Nodes, 0
 	for _, i := range ids {
-		n, err := serial.SetEventProb(tid.EventOf(i), 0.1)
+		if err := serial.Stage(tid.EventOf(i), 0.1); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := serial.CommitDelta()
 		if err != nil {
 			t.Fatal(err)
 		}
-		nSerial += n
+		nSerial += cs.Nodes
 	}
 	if nBatch >= nSerial {
 		t.Errorf("batched commit recomputed %d nodes, serial %d", nBatch, nSerial)
@@ -289,7 +299,10 @@ func TestMaterializedAttach(t *testing.T) {
 		}
 		fi := c.Add(f, logic.Var(e))
 		p[e] = pr
-		if _, err := m.AttachFact(f, fi, e, pr); err != nil {
+		if err := m.StageAttach(f, fi, e, pr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.CommitDelta(); err != nil {
 			t.Fatal(err)
 		}
 		// Oracle: a fresh plan over the grown instance.
@@ -311,7 +324,10 @@ func TestMaterializedAttach(t *testing.T) {
 	attach("e7", 0.2, "R", "c") // another unary witness
 
 	// Probability changes on attached facts ride the same dirty-spine path.
-	if _, err := m.SetEventProb("e6", 0.9); err != nil {
+	if err := m.Stage("e6", 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitDelta(); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := PrepareCQ(c, q, Options{})
@@ -324,7 +340,7 @@ func TestMaterializedAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(m.Probability()-want) > 1e-12 {
-		t.Fatalf("after SetEventProb on attached fact: %v vs %v", m.Probability(), want)
+		t.Fatalf("after reweighting an attached fact: %v vs %v", m.Probability(), want)
 	}
 
 	// A fact with an unknown constant cannot be absorbed.
@@ -350,9 +366,8 @@ func TestMaterializedAttachOnChainFallbackCase(t *testing.T) {
 	}
 }
 
-// TestMaterializedFrozenAndStale covers the guard rails: attach on a frozen
-// plan fails, a second view goes stale once the first one attaches, and
-// staging validates its inputs.
+// TestMaterializedFrozenAndStale covers the guard rails: a second view goes
+// stale once the first one attaches, and staging validates its inputs.
 func TestMaterializedFrozenAndStale(t *testing.T) {
 	tid := gen.RSTChain(4, 0.5)
 	pl, p, err := PrepareTID(tid, rel.HardQuery(), Options{})
@@ -373,25 +388,6 @@ func TestMaterializedFrozenAndStale(t *testing.T) {
 		t.Error("Stage accepted 1.5")
 	}
 
-	// Frozen plans still serve SetEventProb but refuse attach.
-	fp, fpP, err := PrepareTID(tid, rel.HardQuery(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	fm, err := fp.Materialize(fpP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fm.SetEventProb(tid.EventOf(1), 0.2); err != nil {
-		t.Errorf("SetEventProb on frozen plan: %v", err)
-	}
-	if fp.CanAttach(rel.NewFact("R", "v0")) {
-		t.Error("CanAttach on a frozen plan")
-	}
-
 	// A second view of the same plan goes stale after the first attaches.
 	c, cp := tid.ToCInstance()
 	spl, err := PrepareCQ(c, rel.HardQuery(), Options{})
@@ -408,11 +404,80 @@ func TestMaterializedFrozenAndStale(t *testing.T) {
 	}
 	f := rel.NewFact("R", "v1")
 	fi := c.Add(f, logic.Var("fresh"))
-	if _, err := v1.AttachFact(f, fi, "fresh", 0.5); err != nil {
+	if err := v1.StageAttach(f, fi, "fresh", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2.SetEventProb(tid.EventOf(0), 0.1); err == nil {
+	if _, err := v1.CommitDelta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.Stage(tid.EventOf(0), 0.1); err == nil {
 		t.Error("stale view accepted an update after a foreign attach")
+	}
+	if _, err := spl.Materialize(cp); err == nil {
+		t.Error("Materialize accepted a plan whose structure changed")
+	}
+}
+
+// TestPlanErrorsAfterViewAttach: once a view's StageAttach splices a fact
+// into the shared plan, plan-level evaluation refuses with the
+// structure-changed error on every entry point, while the view itself keeps
+// answering — and matches a plan freshly prepared on the grown instance.
+func TestPlanErrorsAfterViewAttach(t *testing.T) {
+	c, p := gen.RSTChain(6, 0.5).ToCInstance()
+	q := rel.HardQuery()
+	pl, err := PrepareCQ(c, q, Options{EmitLineage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pl.Materialize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := rel.NewFact("T", "v1")
+	if !pl.CanAttach(f) {
+		t.Fatalf("cannot attach %s", f)
+	}
+	fi := c.Add(f, logic.Var("fresh"))
+	p["fresh"] = 0.7
+	if err := m.StageAttach(f, fi, "fresh", 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitDelta(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Probability(p); !errors.Is(err, errStructureChanged) {
+		t.Errorf("Probability after attach: %v, want errStructureChanged", err)
+	}
+	if _, err := pl.Result(p); !errors.Is(err, errStructureChanged) {
+		t.Errorf("Result after attach: %v, want errStructureChanged", err)
+	}
+	if _, err := pl.ProbabilityBatch([]logic.Prob{p}); !errors.Is(err, errStructureChanged) {
+		t.Errorf("ProbabilityBatch after attach: %v, want errStructureChanged", err)
+	}
+	fresh, err := PrepareCQ(c, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Probability(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(m.Probability()-want) > 1e-12 {
+		t.Fatalf("view after attach %v, fresh plan %v", m.Probability(), want)
+	}
+	// The view keeps taking updates.
+	p["fresh"] = 0.2
+	if err := m.Stage("fresh", 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitDelta(); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = fresh.Probability(p); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(m.Probability()-want) > 1e-12 {
+		t.Fatalf("view after reweighting %v, fresh plan %v", m.Probability(), want)
 	}
 }
 
@@ -445,7 +510,7 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 			pr := float64(1+r.Intn(9)) / 10
 			fi := c.Add(f, logic.Var(e))
 			p[e] = pr
-			if _, err := m.AttachFact(f, fi, e, pr); err != nil {
+			if err := m.StageAttach(f, fi, e, pr); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		} else {
@@ -453,9 +518,12 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 			e := events[r.Intn(len(events))]
 			pr := float64(r.Intn(11)) / 10
 			p[e] = pr
-			if _, err := m.SetEventProb(e, pr); err != nil {
+			if err := m.Stage(e, pr); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+		}
+		if _, err := m.CommitDelta(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		fresh, err := PrepareCQ(c, q, Options{})
 		if err != nil {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -29,27 +29,24 @@ func errMassDrift(total float64) error {
 }
 
 // Plan is a compiled query plan: the Prepare/Evaluate split of the Theorem
-// 1/2 engine. Prepare hoists every probability-independent stage out of the
-// per-call path — domain indexing, the joint instance+event graph, its tree
-// decomposition, the nice decomposition, fact homing, compiled annotation
-// evaluators and the determinized automaton's state-set transition tables —
-// so that (*Plan).Probability and (*Plan).Result only run the numeric
-// dynamic program: row tables keyed by interned state-set ids and event
-// bitmasks, with no string keys and no per-row allocations.
-//
-// Transition tables are filled lazily on first use and shared by every
-// subsequent evaluation (and by repeated rows within one evaluation), which
-// is why even the first call through a Plan is much faster than the
-// pre-split engine.
+// 1/2 engine. Prepare does every probability-independent stage — domain
+// indexing, the joint instance+event graph, its tree decomposition, the nice
+// decomposition, fact homing, compiled annotation evaluators, the
+// determinized automaton's state-set transitions and, from those, the dense
+// row program of the whole dynamic program (see rowprog.go). Evaluation is
+// then only arithmetic: Probability, ProbabilityBatch and Result run the
+// compiled program over lane blocks, with no map lookups, no interning and
+// no string keys.
 //
 // # Concurrency
 //
-// All per-evaluation state (row tables, weight buffers) lives in pooled
-// evaluation states, so the only mutable shared state is the lazily-filled
-// determinized-transition caches. (*Plan).Freeze eagerly completes and seals
-// them: a frozen plan is immutable and safe for any number of concurrent
-// Probability / ProbabilityBatch / Result calls (see also Serve). An
-// unfrozen plan must be confined to one goroutine at a time, as before.
+// A plan is immutable once Prepare returns. All per-evaluation state (weight
+// buffers, lane blocks) lives in pooled evaluation states, so any number of
+// goroutines may call Probability / ProbabilityBatch / Result on one plan
+// (see also Serve). The one writer is a Materialized view's StageAttach,
+// which splices new nodes into its plan: it must not overlap other calls on
+// the plan, and afterwards plan-level evaluation fails with a
+// structure-changed error while the view keeps answering.
 //
 //pdblint:frozen
 type Plan struct {
@@ -80,96 +77,44 @@ type Plan struct {
 	sets   setInterner
 	accept []bool // accept[setID]: does the set contain an accepting state?
 
-	// Determinized transition caches, filled lazily; hits are the common
-	// case. All hot-path keys are integers: the query's string states are
-	// touched only on the first encounter of a state, state pair, or set.
-	// After Freeze the caches are complete for every row the DP can reach
-	// and are never written again.
+	// Determinized transition caches, filled by the compile passes of
+	// Prepare and StageAttach. All keys are integers: the query's string
+	// states are touched only on the first encounter of a state, state
+	// pair, or set. Evaluation never reads them.
 	setTrans   map[setTransKey]int32 // (op, operand, set) -> successor set
 	joinCache  map[uint64]int32      // (left set, right set) -> joined set
 	stepCache  map[stepKey][]int32   // (op, operand, state) -> successor states
 	pairCache  map[uint64]int32      // (state, state) -> merged state, -1 dead
 	pruneCache map[int32]int32       // unpruned set -> pruned set
 
-	// frozen marks the transition caches as complete and sealed; set by
-	// Freeze before the plan is shared across goroutines.
-	frozen bool
-
-	// prog is the compiled row program (see rowprog.go), built by Freeze:
-	// with the transition caches complete, the entire dynamic program
-	// compiles into dense per-node edge lists, and frozen evaluations run
-	// pure kernel arithmetic with no map traffic. nil until Freeze;
-	// read-only afterwards.
+	// prog is the compiled row program (see rowprog.go), built by Prepare
+	// and read-only afterwards: the only thing evaluation runs.
 	prog *rowProgram
 
-	// Structural scratch, touched only on cache misses (never once frozen).
+	// Structural scratch of the compile passes.
 	strBuf []string
 	idBuf  []int32
 
-	// evalPool recycles per-evaluation state (weight buffers, row tables);
+	// evalPool recycles per-evaluation state (weight buffers, lane blocks);
 	// each Probability/ProbabilityBatch/Result call checks one out, so
 	// concurrent evaluations never share scratch.
 	evalPool sync.Pool
 }
 
 // evalState is the per-evaluation mutable state of a Plan: everything the
-// dynamic program writes to. It is pooled per plan, so steady-state serial
+// row program writes to. It is pooled per plan, so steady-state serial
 // evaluation reuses one state with no allocation, while concurrent
 // evaluations each get their own.
 type evalState struct {
-	peBuf    []float64
-	freeTabs []map[rowKey]rowVal
-	tables   []map[rowKey]rowVal
+	peBuf []float64
 
-	// Multi-lane counterparts used by the unfrozen ProbabilityBatch path.
-	freeBatch []*batchTable
-	btables   []*batchTable
-
-	// Row-program state: the lane-block arena and the per-node block
-	// pointers of runBatchProg (see rowprog.go).
+	// The lane-block arena and the per-node block pointers of runBatchProg
+	// (see rowprog.go).
 	arena  kernel.Arena
 	blocks [][]float64
 
 	// one adapts a single probability map to the lane-major weight fill.
 	one [1]logic.Prob
-
-	// joinEnts stages a join node's right table sorted by bits, so the scalar
-	// and batch fallback paths merge matching runs instead of scanning all
-	// pairs.
-	joinEnts []joinEnt
-}
-
-// joinEnt is one right-table row staged for a bits-grouped join: the row key
-// plus either its scalar value (map path) or its batch row index.
-type joinEnt struct {
-	k rowKey
-	v rowVal
-	i int32
-}
-
-// sortJoinEnts orders staged join entries by their event-valuation bits so
-// equal-bits rows form contiguous runs.
-func sortJoinEnts(ents []joinEnt) {
-	slices.SortFunc(ents, func(a, b joinEnt) int {
-		switch {
-		case a.k.bits < b.k.bits:
-			return -1
-		case a.k.bits > b.k.bits:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// joinRun locates the contiguous run of entries whose bits equal target.
-func joinRun(ents []joinEnt, target uint64) (lo, hi int) {
-	lo = sort.Search(len(ents), func(i int) bool { return ents[i].k.bits >= target })
-	hi = lo
-	for hi < len(ents) && ents[hi].k.bits == target {
-		hi++
-	}
-	return lo, hi
 }
 
 func (pl *Plan) getState() *evalState {
@@ -206,13 +151,6 @@ type planFact struct {
 type rowKey struct {
 	set  int32
 	bits uint64
-}
-
-// rowVal carries the probability mass of a row and, when lineage emission is
-// on, its gate.
-type rowVal struct {
-	prob float64
-	gate circuit.Gate
 }
 
 // Transition operations, the op field of setTransKey and stepKey.
@@ -378,6 +316,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		pl.eventIdx[e] = i
 	}
 	pl.rebuildTopology()
+	pl.prog = pl.compileProgram()
 	return pl, nil
 }
 
@@ -443,9 +382,8 @@ func (pl *Plan) Shape() treedec.Stats { return pl.nice.Stats() }
 func (pl *Plan) Query() Query { return pl.q }
 
 // Probability evaluates the plan under the event probabilities p and
-// returns the exact query probability. Only the numeric dynamic program
-// runs; all structural work was done by Prepare. Safe for concurrent calls
-// once the plan is frozen (see Freeze).
+// returns the exact query probability. Only the compiled row program runs;
+// all structural work was done by Prepare. Safe for concurrent calls.
 //
 //pdblint:frozenentry
 func (pl *Plan) Probability(p logic.Prob) (float64, error) {
@@ -463,42 +401,17 @@ func (pl *Plan) Probability(p logic.Prob) (float64, error) {
 // The returned Result — in particular its lineage circuit — is owned by the
 // caller: every call builds a fresh circuit, and later evaluations on the
 // same plan (under any probability map) never mutate a previously returned
-// Result. Safe for concurrent calls once the plan is frozen (see Freeze).
+// Result. Safe for concurrent calls.
 //
 //pdblint:frozenentry
 func (pl *Plan) Result(p logic.Prob) (*Result, error) {
 	return pl.eval(p, pl.emitLineage)
 }
 
-// Freeze eagerly completes the plan's lazily-filled determinized-transition
-// caches and seals them, making the plan immutable and therefore safe for
-// concurrent Probability / ProbabilityBatch / Result calls from any number
-// of goroutines.
-//
-// The row keys of the dynamic program depend only on the compiled structure,
-// never on the event probabilities, so one structural pass visits every
-// transition any future evaluation can need; after Freeze the caches are
-// read-only. Freeze is idempotent but must itself be called from a single
-// goroutine, before the plan is shared.
-func (pl *Plan) Freeze() error {
-	if pl.frozen {
-		return nil
-	}
-	// A full evaluation under the default-0.5 weights touches exactly the
-	// introduce/forget/fact/join transitions reachable from the query.
-	if _, err := pl.eval(logic.Prob{}, false); err != nil {
-		return fmt.Errorf("core: freeze pass failed: %w", err)
-	}
-	// With the caches complete, compile the dense row program (every
-	// transition it replays is now a cache hit) and seal the plan.
-	pl.prog = pl.compileProgram()
-	pl.frozen = true
-	return nil
-}
-
-// Frozen reports whether the plan's transition caches have been sealed for
-// concurrent use.
-func (pl *Plan) Frozen() bool { return pl.frozen }
+// Freeze is a no-op that returns nil. Every plan is fully compiled,
+// immutable and safe for concurrent evaluation once Prepare returns; Freeze
+// remains only so existing callers keep compiling.
+func (pl *Plan) Freeze() error { return nil }
 
 // --- interning and cached transitions ---
 
@@ -506,8 +419,6 @@ func (pl *Plan) Frozen() bool { return pl.frozen }
 // detStep or a SetPruner) and returns its set id. Sets are canonicalized by
 // sorting their interned state ids, so any permutation of the same strings
 // interns to the same id.
-//
-//pdblint:mutates set interning is guarded: frozen plans never see a new set (missUnlessUnfrozen)
 func (pl *Plan) internStrings(states []string) int32 {
 	ids := pl.sets.idBuf[:0]
 	for _, s := range states {
@@ -519,8 +430,6 @@ func (pl *Plan) internStrings(states []string) int32 {
 }
 
 // internIDs interns a sorted, deduplicated state-id set directly.
-//
-//pdblint:mutates set interning is guarded: frozen plans never see a new set (missUnlessUnfrozen)
 func (pl *Plan) internIDs(ids []int32) int32 {
 	buf := pl.sets.buf[:0]
 	for _, id := range ids {
@@ -556,8 +465,6 @@ func (pl *Plan) setStrings(set int32, buf []string) []string {
 
 // pruned applies the query's SetPruner (if any) to an interned set, caching
 // the result so each distinct set is pruned at most once.
-//
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (pl *Plan) pruned(raw int32) int32 {
 	if _, isPruner := pl.q.(SetPruner); !isPruner {
 		return raw
@@ -565,7 +472,6 @@ func (pl *Plan) pruned(raw int32) int32 {
 	if r, ok := pl.pruneCache[raw]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
 	pl.strBuf = pl.setStrings(raw, pl.strBuf)
 	r := pl.internStrings(prune(pl.q, pl.strBuf))
 	pl.pruneCache[raw] = r
@@ -575,14 +481,11 @@ func (pl *Plan) pruned(raw int32) int32 {
 // stepStates returns the successor state ids of a single state under the
 // given operation, computing them from the string-level Query interface on
 // first use only. Fact steps include the implicit identity transition.
-//
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
 	k := stepKey{op: op, arg: int32(arg), state: state}
 	if succs, ok := pl.stepCache[k]; ok {
 		return succs
 	}
-	pl.missUnlessUnfrozen()
 	st := pl.states.strs[state]
 	var out []string
 	switch op {
@@ -604,14 +507,11 @@ func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
 // stepSet is the subset construction over interned sets: the successor of a
 // set is the pruned union of its members' successors. Results are cached per
 // (operation, operand, set).
-//
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (pl *Plan) stepSet(op uint8, arg int, set int32) int32 {
 	k := setTransKey{op: op, arg: int32(arg), set: set}
 	if r, ok := pl.setTrans[k]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
 	ids := pl.idBuf[:0]
 	for _, sid := range pl.sets.members[set] {
 		ids = append(ids, pl.stepStates(op, arg, sid)...)
@@ -636,14 +536,11 @@ type directJoiner interface {
 // joinSets merges two interned sets across a join node: every pair of
 // member states is merged through the query's Join, with a per-pair cache
 // so each state pair is merged through the string interface at most once.
-//
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (pl *Plan) joinSets(a, b int32) int32 {
 	k := uint64(uint32(a))<<32 | uint64(uint32(b))
 	if r, ok := pl.joinCache[k]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
 	join := pl.q.Join
 	if dj, ok := pl.q.(directJoiner); ok {
 		join = dj.JoinDirect
@@ -672,168 +569,40 @@ func (pl *Plan) joinSets(a, b int32) int32 {
 	return r
 }
 
-// missUnlessUnfrozen asserts that a transition-cache miss is legal: misses
-// cannot occur on a frozen plan (the freeze pass visited every reachable
-// transition), so hitting one means the plan was mutated or an internal
-// invariant broke — panic rather than race on the sealed caches.
-func (pl *Plan) missUnlessUnfrozen() {
-	if pl.frozen {
-		panic("core: transition cache miss on a frozen Plan (internal invariant violated)")
-	}
-}
-
-// --- table management ---
-
-func (st *evalState) allocTable(hint int) map[rowKey]rowVal {
-	if n := len(st.freeTabs); n > 0 {
-		tab := st.freeTabs[n-1]
-		st.freeTabs = st.freeTabs[:n-1]
-		clear(tab)
-		return tab
-	}
-	return make(map[rowKey]rowVal, hint)
-}
-
-func (st *evalState) releaseTable(tab map[rowKey]rowVal) {
-	st.freeTabs = append(st.freeTabs, tab)
-}
-
-// put merges a row into tab: equal keys sum their mass (a deterministic OR
-// on the emitted lineage).
-func put(tab map[rowKey]rowVal, k rowKey, v rowVal, emit *circuit.Circuit) {
-	if prev, ok := tab[k]; ok {
-		prev.prob += v.prob
-		if emit != nil {
-			prev.gate = emit.Or(prev.gate, v.gate)
-		}
-		tab[k] = prev
-		return
-	}
-	tab[k] = v
-}
-
 // --- evaluation ---
 
-// runDP executes the numeric dynamic program bottom-up under the event
-// probabilities p and returns the root table, whose ownership passes to the
-// caller (release it back into st). It is the shared core of eval (which
-// summarizes acceptance) and rootVec (which hands per-row probabilities to
-// the cross-shard combiner of ShardedPlan).
-func (pl *Plan) runDP(st *evalState, p logic.Prob, emit *circuit.Circuit) map[rowKey]rowVal {
-	// Per-event Bernoulli weights, resolved once per evaluation.
-	st.one[0] = p
-	pe := pl.fillLaneWeights(st, st.one[:])
-	st.one[0] = nil
-
-	if len(st.tables) < len(pl.nodes) {
-		st.tables = make([]map[rowKey]rowVal, len(pl.nodes))
-	}
-	tables := st.tables
-
-	for _, t := range pl.post {
-		tables[t] = pl.computeNode(st, tables, pe, t, emit, true)
-	}
-	root := tables[pl.root]
-	tables[pl.root] = nil
-	return root
-}
-
-// rootKeys discovers the root table's row keys with one structural pass: the
-// keys depend only on the compiled structure, never on the probabilities, so
-// any one evaluation visits them all. Root bags are empty, so every key is a
-// bare state-set id; the ids are returned sorted.
-func (pl *Plan) rootKeys() []int32 {
-	st := pl.getState()
-	defer pl.putState(st)
-	root := pl.runDP(st, logic.Prob{}, nil)
-	keys := make([]int32, 0, len(root))
-	for k := range root {
-		keys = append(keys, k.set)
-	}
-	st.releaseTable(root)
-	sortInt32(keys)
-	return keys
-}
-
-// rootVec evaluates the plan under p and extracts the root-table probability
-// of every key in keys (as discovered by rootKeys) into out. Safe for
-// concurrent calls once the plan is frozen, like Probability.
-func (pl *Plan) rootVec(p logic.Prob, keys []int32, out []float64) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	st := pl.getState()
-	defer pl.putState(st)
-	if pl.prog != nil {
-		st.one[0] = p
-		pe := pl.fillLaneWeights(st, st.one[:])
-		st.one[0] = nil
-		root := pl.runBatchProg(st, pe, 1)
-		for i, set := range keys {
-			if r, ok := pl.prog.rootRow[set]; ok {
-				out[i] = root[r]
-			} else {
-				out[i] = 0
-			}
-		}
-		st.arena.Put(root)
-		return nil
-	}
-	root := pl.runDP(st, p, nil)
-	for i, set := range keys {
-		out[i] = root[rowKey{set: set}].prob
-	}
-	st.releaseTable(root)
-	return nil
-}
+// errStructureChanged is returned by plan-level evaluation, and by a
+// Materialized view, once a view's StageAttach has changed the plan's
+// structure since the plan (or that view) was compiled.
+var errStructureChanged = errors.New("core: the plan's structure changed after a live view attached a fact")
 
 func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var emit *circuit.Circuit
-	if emitLineage {
-		emit = circuit.New()
+	if pl.prog.gen != pl.structGen {
+		return nil, errStructureChanged
 	}
-
 	st := pl.getState()
 	defer pl.putState(st)
 
 	res := &Result{Width: pl.width, NiceNodes: len(pl.nodes)}
-	var acceptGates []circuit.Gate
-	if emit == nil && pl.prog != nil {
-		// Frozen non-lineage path: run the compiled row program at one lane.
-		st.one[0] = p
-		pe := pl.fillLaneWeights(st, st.one[:])
-		st.one[0] = nil
-		root := pl.runBatchProg(st, pe, 1)
-		for i, set := range pl.prog.rootSets {
-			res.TotalMass += root[i]
-			if pl.accept[set] {
-				res.Probability += root[i]
-			}
+	st.one[0] = p
+	pe := pl.fillLaneWeights(st, st.one[:])
+	st.one[0] = nil
+	root := pl.runBatchProg(st, pe, 1)
+	for i, set := range pl.prog.rootSets {
+		res.TotalMass += root[i]
+		if pl.accept[set] {
+			res.Probability += root[i]
 		}
-		st.arena.Put(root)
-	} else {
-		root := pl.runDP(st, p, emit)
-		for k, v := range root {
-			res.TotalMass += v.prob
-			if pl.accept[k.set] {
-				res.Probability += v.prob
-				if emit != nil {
-					acceptGates = append(acceptGates, v.gate)
-				}
-			}
-		}
-		st.releaseTable(root)
 	}
+	st.arena.Put(root)
 	if massDrifted(res.TotalMass) {
 		return nil, errMassDrift(res.TotalMass)
 	}
-	if emit != nil {
-		sortGates(acceptGates)
-		res.Lineage = emit
-		res.Root = emit.Or(acceptGates...)
+	if emitLineage {
+		res.Lineage, res.Root = pl.lineage()
 	}
 	// Clamp floating noise.
 	if res.Probability < 0 {
@@ -845,116 +614,68 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 	return res, nil
 }
 
-// computeNode builds the row table of nice node t from the tables of its
-// children under the per-event weights pe. The facts homed at t are fused
-// into the row keys as they are produced — a fact's annotation reads only a
-// row's bits, which no fact changes, so the whole fact chain composes into
-// one set remap per row (factRemap) and no staging tables are needed. With
-// consumeChildren (the one-shot eval path) the child tables are released
-// into st's free list — and cleared from tables — as soon as the switch has
-// read them. The returned table is allocated from st's free list and owned
-// by the caller.
-func (pl *Plan) computeNode(st *evalState, tables []map[rowKey]rowVal, pe []float64, t int, emit *circuit.Circuit, consumeChildren bool) map[rowKey]rowVal {
-	nd := &pl.nodes[t]
-	release := func(child int) {
-		if consumeChildren {
-			st.releaseTable(tables[child])
-			tables[child] = nil
+// lineage builds the d-DNNF lineage of the plan by walking its per-node
+// programs bottom-up, one gate per row: a row is the OR over the edges into
+// it, a join edge the AND of its two child rows, a forget-event edge the AND
+// of its child row with the event literal (e or ¬e), and a leaf row true.
+// Distinct rows of a node cover disjoint sets of worlds, so every OR is
+// deterministic; the root gate is the OR of the accepting root rows.
+func (pl *Plan) lineage() (*circuit.Circuit, circuit.Gate) {
+	c := circuit.New()
+	gates := make([][]circuit.Gate, len(pl.nodes))
+	var ors [][]circuit.Gate // per-row disjuncts of the node being built
+	for _, t := range pl.post {
+		np := pl.prog.nodes[t]
+		for len(ors) < np.rows {
+			ors = append(ors, nil)
+		}
+		ors = ors[:np.rows]
+		for i := range ors {
+			ors[i] = ors[i][:0]
+		}
+		var c0, c1 []circuit.Gate
+		if np.in0 >= 0 {
+			c0 = gates[np.in0]
+		}
+		if np.in1 >= 0 {
+			c1 = gates[np.in1]
+		}
+		switch np.kind {
+		case pkLeaf:
+			ors[0] = append(ors[0], c.Const(true))
+		case pkUnary:
+			for _, e := range np.edges {
+				ors[e.dst] = append(ors[e.dst], c0[e.src])
+			}
+		case pkForgetEvent:
+			lit1 := c.Var(pl.events[np.eventIdx])
+			lit0 := c.Not(lit1)
+			for i, e := range np.edges {
+				lit := lit1
+				if i >= int(np.split) {
+					lit = lit0
+				}
+				ors[e.dst] = append(ors[e.dst], c.And(c0[e.src], lit))
+			}
+		case pkJoin:
+			for _, j := range np.joins {
+				ors[j.dst] = append(ors[j.dst], c.And(c0[j.l], c1[j.r]))
+			}
+		}
+		row := make([]circuit.Gate, np.rows)
+		for i, gs := range ors {
+			row[i] = c.Or(gs...)
+		}
+		gates[t] = row
+	}
+	var accepting []circuit.Gate
+	for i, set := range pl.prog.rootSets {
+		if pl.accept[set] {
+			accepting = append(accepting, gates[pl.root][i])
 		}
 	}
-	var tab map[rowKey]rowVal
-	switch nd.kind {
-	case treedec.NiceLeaf:
-		tab = st.allocTable(1)
-		v := rowVal{prob: 1}
-		if emit != nil {
-			v.gate = emit.Const(true)
-		}
-		tab[pl.factRemap(nd, rowKey{set: pl.startSet})] = v
-
-	case treedec.NiceIntroduce:
-		child := tables[nd.child0]
-		tab = st.allocTable(2 * len(child))
-		if nd.isEvent {
-			// Split every row on the value of the new event; the
-			// Bernoulli weight is applied at the event's forget node.
-			pos := nd.pos
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)}), v, emit)
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}), v, emit)
-			}
-		} else {
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: pl.introduceSet(k.set, nd.vertex), bits: k.bits}), v, emit)
-			}
-		}
-		release(nd.child0)
-
-	case treedec.NiceForget:
-		child := tables[nd.child0]
-		tab = st.allocTable(len(child))
-		if nd.isEvent {
-			// Apply the event's Bernoulli weight according to the row's
-			// recorded value, conjoin the literal onto the lineage, and
-			// marginalize the bit out of the key.
-			pos := nd.pos
-			w1 := pe[nd.eventIdx]
-			w0 := 1 - w1
-			var lit0, lit1 circuit.Gate
-			if emit != nil {
-				lit1 = emit.Var(pl.events[nd.eventIdx])
-				lit0 = emit.Not(lit1)
-			}
-			for k, v := range child {
-				nv := rowVal{prob: v.prob}
-				if k.bits&(1<<uint(pos)) != 0 {
-					nv.prob *= w1
-					if emit != nil {
-						nv.gate = emit.And(v.gate, lit1)
-					}
-				} else {
-					nv.prob *= w0
-					if emit != nil {
-						nv.gate = emit.And(v.gate, lit0)
-					}
-				}
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)}), nv, emit)
-			}
-		} else {
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: pl.forgetSet(k.set, nd.vertex), bits: k.bits}), v, emit)
-			}
-		}
-		release(nd.child0)
-
-	case treedec.NiceJoin:
-		left := tables[nd.child0]
-		right := tables[nd.child1]
-		tab = st.allocTable(len(left))
-		// In-bag events are shared between the children, so only rows with
-		// equal bits combine: stage the right table sorted by bits, then
-		// each left row multiplies against its matching run — a linear merge
-		// instead of the quadratic all-pairs scan with a mismatch skip.
-		ents := st.joinEnts[:0]
-		for rk, rv := range right {
-			ents = append(ents, joinEnt{k: rk, v: rv})
-		}
-		sortJoinEnts(ents)
-		st.joinEnts = ents
-		for lk, lv := range left {
-			lo, hi := joinRun(ents, lk.bits)
-			for _, re := range ents[lo:hi] {
-				nv := rowVal{prob: lv.prob * re.v.prob}
-				if emit != nil {
-					nv.gate = emit.And(lv.gate, re.v.gate)
-				}
-				put(tab, pl.factRemap(nd, rowKey{set: pl.joinSets(lk.set, re.k.set), bits: lk.bits}), nv, emit)
-			}
-		}
-		release(nd.child0)
-		release(nd.child1)
-	}
-	return tab
+	sortGates(accepting)
+	return c, c.Or(accepting...)
 }
 
 // --- bit and position helpers ---
@@ -1037,13 +758,10 @@ func (pl *Plan) findAttach(f rel.Fact) (node int, err error) {
 }
 
 // CanAttach reports whether attachFact would succeed for a fact with the
-// given arguments: the plan is unfrozen, its query accepts appended facts,
-// and some bag covers the arguments. The pre-flight check incr.Store runs
-// before committing to the in-place insertion path.
+// given arguments: the plan's query accepts appended facts and some bag
+// covers the arguments. The pre-flight check incr.Store runs before
+// committing to the in-place insertion path.
 func (pl *Plan) CanAttach(f rel.Fact) bool {
-	if pl.frozen {
-		return false
-	}
 	if _, ok := pl.q.(FactExtender); !ok {
 		return false
 	}
@@ -1059,12 +777,10 @@ func (pl *Plan) CanAttach(f rel.Fact) bool {
 // table are untouched; only the spliced nodes and their root path need
 // recomputation (the caller — Materialized.StageAttach — marks them dirty).
 //
-// The plan's query must already cover fact fi (see FactExtender). Attaching
-// to a frozen plan is an error: it would grow the sealed transition caches.
+// The plan's query must already cover fact fi (see FactExtender). The
+// plan's own row program is not recompiled: plan-level evaluation fails
+// from here on (errStructureChanged), and only the attaching view answers.
 func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int, err error) {
-	if pl.frozen {
-		return 0, 0, fmt.Errorf("core: cannot attach a fact to a frozen plan")
-	}
 	if _, dup := pl.eventIdx[e]; dup {
 		return 0, 0, fmt.Errorf("core: event %q is already an event of the plan", e)
 	}

@@ -11,34 +11,26 @@ import (
 	"repro/internal/rel"
 )
 
-// TestPlanConcurrentMixedEvaluations hammers one frozen Plan from 8
-// goroutines with interleaved Probability and ProbabilityBatch calls and
-// checks every answer against serial references. Run under -race (CI does)
-// this is the proof that a frozen plan's transition caches, interners and
-// pooled evaluation states are safe for parallel readers.
+// TestPlanConcurrentMixedEvaluations hammers one Plan, straight from
+// Prepare, from 8 goroutines with interleaved Probability, ProbabilityBatch
+// and lineage Result calls and checks every answer against serial
+// references. Run under -race (CI does) this is the proof that a prepared
+// plan is immutable: its compiled program, interners and pooled evaluation
+// states are safe for parallel readers with no further setup.
 func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 	tid := gen.RSTChain(40, 0.5)
-	q := rel.HardQuery()
-	pl, p, err := PrepareTID(tid, q, Options{})
+	c, p := tid.ToCInstance()
+	pl, err := PrepareCQ(c, rel.HardQuery(), Options{EmitLineage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Serial references, computed before the plan is shared.
 	r := rand.New(rand.NewSource(31))
 	maps := append([]logic.Prob{p}, randomProbMaps(r, p, 3)...)
-	want := make([]float64, len(maps))
-	for i, m := range maps {
-		if want[i], err = pl.Probability(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pl.Freeze(); err != nil {
-		t.Fatal(err)
-	}
 
 	const goroutines = 8
 	const iters = 25
+	got := make([][]float64, goroutines*iters) // written by one goroutine each
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -46,36 +38,33 @@ func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			check := func(got, want float64) bool {
-				// Row tables are hash maps, so only the float summation
-				// order — the last ulp — may differ between runs.
-				return math.Abs(got-want) <= 1e-12
-			}
 			for it := 0; it < iters; it++ {
-				if (g+it)%2 == 0 {
-					i := (g + it) % len(maps)
-					got, err := pl.Probability(maps[i])
+				i := (g + it) % len(maps)
+				var out []float64
+				switch (g + it) % 3 {
+				case 0:
+					v, err := pl.Probability(maps[i])
 					if err != nil {
 						errs <- err
 						return
 					}
-					if !check(got, want[i]) {
-						t.Errorf("goroutine %d: serial %v, want %v", g, got, want[i])
-						return
-					}
-				} else {
-					got, err := pl.ProbabilityBatch(maps)
+					out = []float64{v}
+				case 1:
+					res, err := pl.Result(maps[i])
 					if err != nil {
 						errs <- err
 						return
 					}
-					for i := range maps {
-						if !check(got[i], want[i]) {
-							t.Errorf("goroutine %d lane %d: batch %v, want %v", g, i, got[i], want[i])
-							return
-						}
+					out = []float64{res.Probability, res.Lineage.DDNNFProbability(res.Root, maps[i])}
+				default:
+					v, err := pl.ProbabilityBatch(maps)
+					if err != nil {
+						errs <- err
+						return
 					}
+					out = v
 				}
+				got[g*iters+it] = out
 			}
 		}()
 	}
@@ -84,9 +73,40 @@ func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+
+	// Serial references, computed after the concurrent phase so the plan's
+	// first evaluations ran in parallel.
+	want := make([]float64, len(maps))
+	for i, m := range maps {
+		if want[i], err = pl.Probability(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := 0; g < goroutines; g++ {
+		for it := 0; it < iters; it++ {
+			out := got[g*iters+it]
+			if (g+it)%3 == 2 {
+				for i := range maps {
+					if math.Abs(out[i]-want[i]) > 1e-12 {
+						t.Errorf("goroutine %d lane %d: batch %v, want %v", g, i, out[i], want[i])
+					}
+				}
+				continue
+			}
+			w := want[(g+it)%len(maps)]
+			for _, v := range out {
+				// The d-DNNF pass sums in a different order than the row
+				// program, so it may differ in the last bits.
+				if math.Abs(v-w) > 1e-9 {
+					t.Errorf("goroutine %d iter %d: got %v, want %v", g, it, out, w)
+				}
+			}
+		}
+	}
 }
 
-// TestFreezeIsIdempotent freezes twice and keeps evaluating.
+// TestFreezeIsIdempotent: Freeze is a no-op kept for old callers — it
+// returns nil any number of times and leaves the answers untouched.
 func TestFreezeIsIdempotent(t *testing.T) {
 	pl, p, err := PrepareTID(gen.RSTChain(6, 0.5), rel.HardQuery(), Options{})
 	if err != nil {
@@ -96,23 +116,17 @@ func TestFreezeIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Frozen() {
-		t.Fatal("plan frozen before Freeze")
-	}
 	if err := pl.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.Freeze(); err != nil {
 		t.Fatal(err)
-	}
-	if !pl.Frozen() {
-		t.Fatal("plan not frozen after Freeze")
 	}
 	after, err := pl.Probability(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(before-after) > 1e-12 {
-		t.Errorf("freeze changed the answer: %v vs %v", before, after)
+	if before != after {
+		t.Errorf("Freeze changed the answer: %v vs %v", before, after)
 	}
 }

@@ -9,30 +9,30 @@ import (
 )
 
 // This file compiles the dynamic program's row structure into dense row
-// programs. The row keys of every node table — and therefore the complete
-// src→dst wiring of the bottom-up sweep — depend only on the compiled plan,
-// never on the event probabilities (the same invariant Freeze relies on to
-// seal the transition caches). A row program exploits that invariant to the
-// end: each node's table becomes a contiguous block of lane vectors in a
-// fixed row layout, and the node's work becomes a precompiled edge list
-// driven through the kernel primitives (internal/core/kernel). Evaluation
-// then runs with no map lookups, no interning and no key hashing at all —
-// pure gather/accumulate float arithmetic over adjacent memory.
+// programs — the one engine every evaluation runs. The row keys of every
+// node table, and therefore the complete src→dst wiring of the bottom-up
+// sweep, depend only on the compiled plan, never on the event
+// probabilities. So Prepare discovers them once, in a structure-only pass
+// that also fills every transition cache: each node's table becomes a
+// contiguous block of lane vectors in a fixed row layout, and the node's
+// work becomes a precompiled edge list driven through the kernel primitives
+// (internal/core/kernel). Evaluation then runs with no map lookups, no
+// interning and no key hashing at all — pure gather/accumulate float
+// arithmetic over adjacent memory.
 //
 // Fact application is fused into the wiring: a fact homed at a node only
 // remaps a row's state set (its annotation reads the row's bits, which no
 // fact changes), so the compiler composes all fact transitions into the
 // node's dst indices and every row is touched exactly once per node.
 //
-// Two consumers share the compiler:
+// The compile keeps two views of the same wiring:
 //
-//   - (*Plan).Freeze compiles the whole plan (compileProgram); frozen-plan
-//     evaluations — Probability, ProbabilityBatch, rootVec — run the program
-//     instead of the map DP.
-//   - core.Materialized compiles per node, lazily, against its persisted
-//     dense tables (compileNodeProg), so live-view spine recomputation runs
-//     the same kernels; a structure splice (StageAttach) just drops the
-//     affected nodes' programs for recompilation during the next commit.
+//   - the per-node programs and layouts, wired to the nice children. Result
+//     walks them to build lineage, and core.Materialized adopts them for its
+//     persisted tables; StageAttach recompiles the splice's ancestors
+//     (compileNodeProg) against the view's own layouts.
+//   - the fused whole-plan program (fuseUnaryChains), which Probability,
+//     ProbabilityBatch and the sharded plans run.
 
 // nodeProg kinds.
 const (
@@ -50,34 +50,36 @@ type rpJoin struct{ l, r, dst int32 }
 
 // nodeProg is the compiled row wiring of one nice node: everything the
 // node's table computation does, with row keys resolved to dense indices and
-// fact transitions folded in.
+// fact transitions folded in. A nodeProg is immutable once compiled.
 //
-// in0/in1 name the nodes whose blocks feed this program. They start as the
-// nice children, but the whole-plan fusion pass (fuseUnaryChains) re-sources
-// them past folded unary nodes, so a fused program gathers directly from a
-// deeper ancestor's block.
+// in0/in1 name the nodes whose blocks feed this program. In a per-node
+// program they are the nice children; in the fused program
+// (fuseUnaryChains) they are re-sourced past folded unary nodes, so a fused
+// program gathers directly from a deeper descendant's block.
 type nodeProg struct {
 	kind     uint8
-	dead     bool  // folded into its consumer; the sweep skips it entirely
 	in0, in1 int32 // source nodes of c0/c1 (-1 when absent)
+	// split divides a pkForgetEvent's edges: edges[:split] come from rows
+	// with the event true (weight w), edges[split:] from rows with it false
+	// (weight 1-w).
+	split    int32
 	rows     int
 	eventIdx int      // pkForgetEvent: index of the weight lane applied here
-	edges    []rpEdge // pkUnary: plain gather-add edges
-	e0, e1   []rpEdge // pkForgetEvent: edges for rows with the event false / true
+	edges    []rpEdge // pkUnary: plain gather-add edges; pkForgetEvent: weighted ones
 	joins    []rpJoin // pkJoin
-
-	// delta is the lazily built edge adjacency used by the partial commit
-	// pass (see buildDeltaIdx); nil until a partial recompute first touches
-	// this program, dropped with the program on recompilation.
-	delta *deltaIdx
 }
 
-// rowProgram is the whole-plan compile: one nodeProg per nice node plus the
-// root layout, attached to a Plan by Freeze.
+// rowProgram is the whole-plan compile, built by Prepare.
 type rowProgram struct {
-	nodes    []*nodeProg
-	rootSets []int32         // interned set id of each root row, in row order
-	rootRow  map[int32]int32 // set id -> root row, for keyed extraction
+	nodes   []*nodeProg // per-node programs, wired to the nice children
+	layouts [][]rowKey  // layouts[t][i]: the row key of node t's row i
+	// fused is the whole-plan program the evaluations run: nodes[t], or a
+	// rewritten copy of it that gathers past folded unary nodes, or nil
+	// where node t was folded into its consumer. Edge slices fusion does
+	// not rewrite are shared with nodes.
+	fused    []*nodeProg
+	rootSets []int32 // interned set id of each root row, in row order
+	gen      uint64  // the plan's structGen when compiled
 }
 
 // factRemap composes the transitions of the facts homed at nd onto row key
@@ -94,17 +96,20 @@ func (pl *Plan) factRemap(nd *planNode, k rowKey) rowKey {
 }
 
 // compileNodeProg compiles the row program of node t against the given
-// child row layouts (layouts[c] is the key of child c's row i at index i)
-// and returns t's own layout alongside the program. Rows are laid out in
+// child row layouts (layouts[c][i] is the key of child c's row i) and
+// returns t's own layout alongside the program. Rows are laid out in
 // first-encounter order over the deterministic child-layout iteration, so
 // recompiling a node whose children kept their layouts reproduces the same
-// layout. Transition-cache misses fill the caches as usual; on a frozen
-// plan every lookup hits (Freeze's structural pass visited them all).
-func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg) {
+// layout. Transition-cache misses fill the caches. idx is scratch for the
+// key → row index, cleared here, so one map serves a whole compile pass.
+func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32) ([]rowKey, *nodeProg) {
 	nd := &pl.nodes[t]
 	np := &nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
 	var keys []rowKey
-	idx := make(map[rowKey]int32)
+	if nd.child0 >= 0 {
+		keys = make([]rowKey, 0, len(layouts[nd.child0]))
+	}
+	clear(idx)
 	slot := func(k rowKey) int32 {
 		if i, ok := idx[k]; ok {
 			return i
@@ -125,12 +130,14 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 		child := layouts[nd.child0]
 		if nd.isEvent {
 			pos := nd.pos
+			np.edges = make([]rpEdge, 0, 2*len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)}))},
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}))})
 			}
 		} else {
+			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: pl.introduceSet(k.set, nd.vertex), bits: k.bits}))})
@@ -143,16 +150,26 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 			np.kind = pkForgetEvent
 			np.eventIdx = nd.eventIdx
 			pos := nd.pos
+			for _, k := range child {
+				if k.bits&(1<<uint(pos)) != 0 {
+					np.split++
+				}
+			}
+			np.edges = make([]rpEdge, len(child))
+			i1, i0 := 0, int(np.split)
 			for si, k := range child {
 				e := rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)}))}
 				if k.bits&(1<<uint(pos)) != 0 {
-					np.e1 = append(np.e1, e)
+					np.edges[i1] = e
+					i1++
 				} else {
-					np.e0 = append(np.e0, e)
+					np.edges[i0] = e
+					i0++
 				}
 			}
 		} else {
 			np.kind = pkUnary
+			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: pl.forgetSet(k.set, nd.vertex), bits: k.bits}))})
@@ -170,6 +187,11 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 		for ri, k := range right {
 			byBits[k.bits] = append(byBits[k.bits], int32(ri))
 		}
+		n := 0
+		for _, lk := range left {
+			n += len(byBits[lk.bits])
+		}
+		np.joins = make([]rpJoin, 0, n)
 		for li, lk := range left {
 			for _, ri := range byBits[lk.bits] {
 				np.joins = append(np.joins, rpJoin{
@@ -183,23 +205,20 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 	return keys, np
 }
 
-// compileProgram compiles every node of the plan in one structural pass and
-// fuses away the plain-unary copy chains. Called by Freeze, after the freeze
-// evaluation has completed the transition caches and before the plan is
-// marked frozen.
+// compileProgram compiles every node of the plan in one structural pass
+// over the post-order, filling the transition caches as it goes, and fuses
+// away the plain-unary copy chains. Called by Prepare.
 func (pl *Plan) compileProgram() *rowProgram {
-	layouts := make([][]rowKey, len(pl.nodes))
-	prog := &rowProgram{nodes: make([]*nodeProg, len(pl.nodes))}
+	n := len(pl.nodes)
+	prog := &rowProgram{nodes: make([]*nodeProg, n), layouts: make([][]rowKey, n), gen: pl.structGen}
+	idx := make(map[rowKey]int32)
 	for _, t := range pl.post {
-		layouts[t], prog.nodes[t] = pl.compileNodeProg(t, layouts)
+		prog.layouts[t], prog.nodes[t] = pl.compileNodeProg(t, prog.layouts, idx)
 	}
 	prog.fuseUnaryChains(pl.post, pl.root)
-	rootKeys := layouts[pl.root]
-	prog.rootSets = make([]int32, len(rootKeys))
-	prog.rootRow = make(map[int32]int32, len(rootKeys))
-	for i, k := range rootKeys {
+	prog.rootSets = make([]int32, len(prog.layouts[pl.root]))
+	for i, k := range prog.layouts[pl.root] {
 		prog.rootSets[i] = k.set
-		prog.rootRow[k.set] = int32(i)
 	}
 	return prog
 }
@@ -218,47 +237,69 @@ func (pl *Plan) compileProgram() *rowProgram {
 // child never duplicates its work. Composition through a merging node
 // multiplies edge lists; a fold that would blow the parent's edge count past
 // a small multiple is skipped (the node then simply stays materialized).
+//
+// The per-node programs stay untouched: a node whose input folds gets a
+// copy in fused, and only the slices the fold rewrites are new.
 func (rp *rowProgram) fuseUnaryChains(post []int, root int) {
+	rp.fused = append([]*nodeProg(nil), rp.nodes...)
 	for _, t := range post {
-		if t == root {
+		np := rp.fused[t]
+		if t == root || np == nil {
 			continue // the root block is the program's output
 		}
-		np := rp.nodes[t]
-		if np.dead {
+		if !rp.foldable(np.in0) && !(np.kind == pkJoin && rp.foldable(np.in1)) {
 			continue
 		}
-		rp.fuseInput(np, &np.in0, true)
-		if np.kind == pkJoin {
-			rp.fuseInput(np, &np.in1, false)
+		cp := *np
+		rp.fuseInput(&cp, &cp.in0, true)
+		if cp.kind == pkJoin {
+			rp.fuseInput(&cp, &cp.in1, false)
+		}
+		if cp.in0 != np.in0 || cp.in1 != np.in1 {
+			rp.fused[t] = &cp
 		}
 	}
 }
 
+// foldable reports whether input node in is a live unary node of the fused
+// program, i.e. a candidate for folding into its consumer.
+func (rp *rowProgram) foldable(in int32) bool {
+	return in >= 0 && rp.fused[in] != nil && rp.fused[in].kind == pkUnary
+}
+
 // fuseInput folds the pkUnary chain feeding one input of np (left when
-// isLeft, the join's right otherwise), rewriting the matching source-index
-// lists in place.
+// isLeft, the join's right otherwise), replacing the matching source-index
+// lists.
 func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
-	for *in >= 0 {
-		child := rp.nodes[*in]
-		if child.kind != pkUnary || child.dead {
-			return
-		}
-		// Invert the child's edges: inv[dst] = the child-input rows feeding it.
-		inv := make([][]int32, child.rows)
+	for rp.foldable(*in) {
+		child := rp.fused[*in]
+		// Invert the child's edges as a CSR: srcs[start[d]:start[d+1]] are
+		// the child-input rows feeding its row d.
+		start := make([]int32, child.rows+1)
 		for _, e := range child.edges {
-			inv[e.dst] = append(inv[e.dst], e.src)
+			start[e.dst+1]++
 		}
-		project := func(edges []rpEdge) (int, bool) {
+		for d := 0; d < child.rows; d++ {
+			start[d+1] += start[d]
+		}
+		srcs := make([]int32, len(child.edges))
+		next := append([]int32(nil), start[:child.rows]...)
+		for _, e := range child.edges {
+			srcs[next[e.dst]] = e.src
+			next[e.dst]++
+		}
+		inv := func(d int32) []int32 { return srcs[start[d]:start[d+1]] }
+		fanout := func(edges []rpEdge) int {
 			n := 0
 			for _, e := range edges {
-				n += len(inv[e.src])
+				n += len(inv(e.src))
 			}
-			return n, n <= 2*len(edges)+16
+			return n
 		}
-		substEdges := func(edges []rpEdge) []rpEdge {
-			out := make([]rpEdge, 0, len(edges))
+		subst := func(edges []rpEdge, n int) []rpEdge {
+			out := make([]rpEdge, 0, n)
 			for _, e := range edges {
-				for _, cs := range inv[e.src] {
+				for _, cs := range inv(e.src) {
 					out = append(out, rpEdge{src: cs, dst: e.dst})
 				}
 			}
@@ -266,38 +307,38 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 		}
 		switch np.kind {
 		case pkUnary:
-			if _, ok := project(np.edges); !ok {
+			n := fanout(np.edges)
+			if n > 2*len(np.edges)+16 {
 				return
 			}
-			np.edges = substEdges(np.edges)
+			np.edges = subst(np.edges, n)
 		case pkForgetEvent:
-			n0, ok0 := project(np.e0)
-			n1, ok1 := project(np.e1)
-			if !ok0 || !ok1 || n0+n1 > 2*(len(np.e0)+len(np.e1))+16 {
+			n1, n := fanout(np.edges[:np.split]), fanout(np.edges)
+			if n > 2*len(np.edges)+16 {
 				return
 			}
-			np.e0 = substEdges(np.e0)
-			np.e1 = substEdges(np.e1)
+			np.edges = subst(np.edges, n)
+			np.split = int32(n1)
 		case pkJoin:
 			n := 0
 			for _, j := range np.joins {
 				if isLeft {
-					n += len(inv[j.l])
+					n += len(inv(j.l))
 				} else {
-					n += len(inv[j.r])
+					n += len(inv(j.r))
 				}
 			}
 			if n > 2*len(np.joins)+16 {
 				return
 			}
-			out := make([]rpJoin, 0, len(np.joins))
+			out := make([]rpJoin, 0, n)
 			for _, j := range np.joins {
 				if isLeft {
-					for _, cs := range inv[j.l] {
+					for _, cs := range inv(j.l) {
 						out = append(out, rpJoin{l: cs, r: j.r, dst: j.dst})
 					}
 				} else {
-					for _, cs := range inv[j.r] {
+					for _, cs := range inv(j.r) {
 						out = append(out, rpJoin{l: j.l, r: cs, dst: j.dst})
 					}
 				}
@@ -306,7 +347,7 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 		default:
 			return
 		}
-		child.dead = true
+		rp.fused[*in] = nil
 		*in = child.in0
 	}
 }
@@ -325,10 +366,10 @@ func runNodeProg(np *nodeProg, B int, dst, c0, c1, w []float64) {
 			kernel.AddTo(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B])
 		}
 	case pkForgetEvent:
-		for _, e := range np.e1 {
+		for _, e := range np.edges[:np.split] {
 			kernel.MulAdd(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B], w)
 		}
-		for _, e := range np.e0 {
+		for _, e := range np.edges[np.split:] {
 			kernel.FMAdd1m(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B], w)
 		}
 	case pkJoin:
@@ -352,11 +393,11 @@ func runNodeProg1(np *nodeProg, dst, c0, c1 []float64, w float64) {
 			dst[e.dst] += c0[e.src]
 		}
 	case pkForgetEvent:
-		for _, e := range np.e1 {
+		for _, e := range np.edges[:np.split] {
 			dst[e.dst] += c0[e.src] * w
 		}
 		w1m := 1 - w
-		for _, e := range np.e0 {
+		for _, e := range np.edges[np.split:] {
 			dst[e.dst] += c0[e.src] * w1m
 		}
 	case pkJoin:
@@ -380,8 +421,8 @@ func (pl *Plan) runBatchProg(st *evalState, pe []float64, B int) []float64 {
 	}
 	blocks := st.blocks
 	for _, t := range pl.post {
-		np := pl.prog.nodes[t]
-		if np.dead {
+		np := pl.prog.fused[t]
+		if np == nil {
 			continue // folded into its consumer by fuseUnaryChains
 		}
 		dst := st.arena.Get(np.rows * B)

@@ -31,10 +31,9 @@ import (
 // so it is compiled once at Prepare time and evaluations run it as pure
 // float arithmetic.
 //
-// Probability, ProbabilityBatch, Result and Freeze mirror *Plan: an unfrozen
-// ShardedPlan must be confined to one goroutine; after Freeze any number of
-// goroutines may evaluate concurrently, and each call fans its shards over a
-// worker pool.
+// Like *Plan, a ShardedPlan is immutable once PrepareSharded returns: any
+// number of goroutines may call Probability, ProbabilityBatch and Result
+// concurrently, and each call fans its shards over a worker pool.
 //
 //pdblint:frozen
 type ShardedPlan struct {
@@ -51,24 +50,20 @@ type ShardedPlan struct {
 	// The precompiled fold over the shards' root distributions.
 	prog foldProgram
 
-	frozen bool
-
 	// onShardEval, when set, receives the wall time of every per-shard DP
 	// evaluation (see SetEvalObserver).
 	onShardEval func(shard int, d time.Duration)
 }
 
-// foldProgram is a compiled cross-shard combine: keys[s] lays out shard s's
-// root state sets as a vector, steps[s] multiplies the running distribution
-// with shard s's vector, and accepts flags the final rows containing an
-// accepting state. The program depends only on the shards' compiled
-// structure — row keys are probability-independent — so it is compiled once
-// and every evaluation runs it as pure float arithmetic.
+// foldProgram is a compiled cross-shard combine: steps[s] multiplies the
+// running distribution with shard s's root vector (its root block, in root
+// row order), and accepts flags the final rows containing an accepting
+// state. The program depends only on the shards' compiled structure — row
+// keys are probability-independent — so it is compiled once and every
+// evaluation runs it as pure float arithmetic.
 type foldProgram struct {
-	keys    [][]int32
 	steps   []foldStep
 	accepts []bool
-	final   int
 }
 
 // foldStep combines the running cross-shard distribution with one shard's
@@ -81,33 +76,32 @@ type foldStep struct {
 
 type foldEdge struct{ a, b, out int32 }
 
-// shardRoots is one shard's root distribution layout handed to the fold
-// compiler: the interned set ids (the vector order) and their member state
-// strings.
-type shardRoots struct {
-	keys []int32
-	sets [][]string
+// rootStates returns the member states of every row of a root layout, in
+// row order: one shard's input to compileFold.
+func (pl *Plan) rootStates(layout []rowKey) [][]string {
+	sets := make([][]string, len(layout))
+	for i, k := range layout {
+		sets[i] = pl.setStrings(k.set, nil)
+	}
+	return sets
 }
 
-// compileFold builds the fold program over the given shard root layouts:
-// the fold starts from the query's start set (the join identity for CQ
-// automata) and absorbs one shard per step, joining state sets through q.
+// compileFold builds the fold program over the given shard root layouts
+// (roots[s][i] holds the states of shard s's root row i): the fold starts
+// from the query's start set (the join identity for CQ automata) and
+// absorbs one shard per step, joining state sets through q.
 // Because root bags are empty, the state sets carry no live domain
 // elements, so joining them through any one CQQuery instance is sound even
 // when every shard compiled its own.
-func compileFold(q Query, shards []shardRoots) foldProgram {
-	prog := foldProgram{
-		keys:  make([][]int32, len(shards)),
-		steps: make([]foldStep, len(shards)),
-	}
+func compileFold(q Query, roots [][][]string) foldProgram {
+	prog := foldProgram{steps: make([]foldStep, len(roots))}
 	cur := [][]string{append([]string(nil), q.Start()...)}
-	for si, sh := range shards {
-		prog.keys[si] = sh.keys
+	for si, sets := range roots {
 		var outSets [][]string
 		outIdx := map[string]int32{}
 		step := foldStep{}
 		for a, A := range cur {
-			for b, B := range sh.sets {
+			for b, B := range sets {
 				m := detJoin(A, B, q)
 				key := strings.Join(m, "\x1f")
 				o, ok := outIdx[key]
@@ -123,7 +117,6 @@ func compileFold(q Query, shards []shardRoots) foldProgram {
 		prog.steps[si] = step
 		cur = outSets
 	}
-	prog.final = len(cur)
 	prog.accepts = make([]bool, len(cur))
 	for i, set := range cur {
 		prog.accepts[i] = acceptsAny(set, q)
@@ -260,14 +253,9 @@ func PrepareSharded(c *pdb.CInstance, q rel.CQ, opts Options) (*ShardedPlan, err
 	}
 
 	sp.combQ = NewCQQuery(q, c.Inst, di)
-	roots := make([]shardRoots, len(sp.shards))
+	roots := make([][][]string, len(sp.shards))
 	for si, pl := range sp.shards {
-		keys := pl.rootKeys()
-		sets := make([][]string, len(keys))
-		for j, set := range keys {
-			sets[j] = append([]string(nil), pl.setStrings(set, nil)...)
-		}
-		roots[si] = shardRoots{keys: keys, sets: sets}
+		roots[si] = pl.rootStates(pl.prog.layouts[pl.root])
 	}
 	sp.prog = compileFold(sp.combQ, roots)
 	return sp, nil
@@ -317,45 +305,29 @@ func (sp *ShardedPlan) ShardOfEvent(e logic.Event) (int, bool) {
 	return k, ok
 }
 
-// Freeze seals every shard for concurrent use (see (*Plan).Freeze). After
-// Freeze, Probability / ProbabilityBatch / Result are safe for any number of
-// concurrent callers and fan the per-shard evaluations over a worker pool.
-func (sp *ShardedPlan) Freeze() error {
-	if sp.frozen {
-		return nil
-	}
-	for i, pl := range sp.shards {
-		if err := pl.Freeze(); err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
-	}
-	sp.frozen = true
-	return nil
-}
-
-// Frozen reports whether the sharded plan has been sealed for concurrent
-// use.
-func (sp *ShardedPlan) Frozen() bool { return sp.frozen }
-
 // SetEvalObserver installs fn to receive the wall time of every per-shard
 // DP evaluation this plan runs — the per-shard breakdown behind a request's
-// eval stage. fn must be safe for concurrent calls (frozen plans fan shards
+// eval stage. fn must be safe for concurrent calls (sharded plans fan shards
 // over a pool and serve many requests at once; an atomic histogram is the
-// intended sink). Set it once, after Freeze and before the plan starts
-// serving; nil disables. The cost when set is two clock reads per shard per
+// intended sink). Set it once, before the plan starts serving; nil
+// disables. The cost when set is two clock reads per shard per
 // evaluation.
 func (sp *ShardedPlan) SetEvalObserver(fn func(shard int, d time.Duration)) {
 	sp.onShardEval = fn
 }
 
-// evalShards computes every shard's root probability vector under p,
-// fanning the shards over a worker pool when the plan is frozen.
-func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
+// evalShards runs every shard's row program under the validated lanes ps
+// and returns each shard's root block (root rows × lanes, lane-major),
+// fanning the shards over a worker pool.
+func (sp *ShardedPlan) evalShards(ps []logic.Prob) [][]float64 {
 	vecs := make([][]float64, len(sp.shards))
-	errs := make([]error, len(sp.shards))
 	eval := func(i int) {
-		vecs[i] = make([]float64, len(sp.prog.keys[i]))
-		errs[i] = sp.shards[i].rootVec(p, sp.prog.keys[i], vecs[i])
+		pl := sp.shards[i]
+		st := pl.getState()
+		root := pl.runBatchProg(st, pl.fillLaneWeights(st, ps), len(ps))
+		vecs[i] = append([]float64(nil), root...)
+		st.arena.Put(root)
+		pl.putState(st)
 	}
 	if sp.onShardEval != nil {
 		inner := eval
@@ -365,25 +337,13 @@ func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
 			sp.onShardEval(i, time.Since(t0))
 		}
 	}
-	if sp.frozen && len(sp.shards) > 1 {
-		runPool(len(sp.shards), 0, eval)
-	} else {
-		for i := range sp.shards {
-			eval(i)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-	}
-	return vecs, nil
+	runPool(len(sp.shards), 0, eval)
+	return vecs
 }
 
 // Probability evaluates every shard under p and combines the per-shard root
 // distributions into the exact query probability, matching what the
-// monolithic Prepare path returns. Safe for concurrent calls once the plan
-// is frozen (see Freeze).
+// monolithic Prepare path returns. Safe for concurrent calls.
 //
 //pdblint:frozenentry
 func (sp *ShardedPlan) Probability(p logic.Prob) (float64, error) {
@@ -396,15 +356,14 @@ func (sp *ShardedPlan) Probability(p logic.Prob) (float64, error) {
 
 // Result evaluates the sharded plan under p. Width is the largest shard
 // width, NiceNodes the total across shards; sharded plans do not emit
-// lineage. Safe for concurrent calls once the plan is frozen (see Freeze).
+// lineage. Safe for concurrent calls.
 //
 //pdblint:frozenentry
 func (sp *ShardedPlan) Result(p logic.Prob) (*Result, error) {
-	vecs, err := sp.evalShards(p)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	prob, mass := sp.prog.fold(vecs, nil)
+	prob, mass := sp.prog.fold(sp.evalShards([]logic.Prob{p}), nil)
 	if massDrifted(mass) {
 		return nil, errMassDrift(mass)
 	}
@@ -421,8 +380,7 @@ func (sp *ShardedPlan) Result(p logic.Prob) (*Result, error) {
 // maps: every shard runs its multi-lane dynamic program once, and the fold
 // carries one weight lane per assignment. Lane failures are independent, as
 // in (*Plan).ProbabilityBatch: bad lanes come back NaN under a LaneErrors
-// while healthy lanes keep their values. Safe for concurrent calls once the
-// plan is frozen.
+// while healthy lanes keep their values. Safe for concurrent calls.
 //
 //pdblint:frozenentry
 func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
@@ -434,40 +392,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	if nan := allLanesNaN(lerrs); nan != nil {
 		return nan, LaneErrors(lerrs)
 	}
-
-	vecs := make([][]float64, len(sp.shards))
-	eval := func(i int) {
-		pl := sp.shards[i]
-		st := pl.getState()
-		pe := pl.fillLaneWeights(st, clean)
-		vec := make([]float64, len(sp.prog.keys[i])*B)
-		if pl.prog != nil {
-			root := pl.runBatchProg(st, pe, B)
-			for j, set := range sp.prog.keys[i] {
-				if r, ok := pl.prog.rootRow[set]; ok {
-					copy(vec[j*B:(j+1)*B], root[int(r)*B:int(r)*B+B])
-				}
-			}
-			st.arena.Put(root)
-		} else {
-			root := pl.runBatchDP(st, pe, B)
-			for j, set := range sp.prog.keys[i] {
-				if ri, ok := root.idx[rowKey{set: set}]; ok {
-					copy(vec[j*B:(j+1)*B], root.lanesOf(ri, B))
-				}
-			}
-			st.releaseBatch(root)
-		}
-		pl.putState(st)
-		vecs[i] = vec
-	}
-	if sp.frozen && len(sp.shards) > 1 {
-		runPool(len(sp.shards), 0, eval)
-	} else {
-		for i := range sp.shards {
-			eval(i)
-		}
-	}
+	vecs := sp.evalShards(clean)
 
 	cur := make([]float64, B)
 	for l := range cur {
@@ -502,10 +427,11 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 // stores (internal/incr): it folds the root tables of per-shard
 // Materialized views into the combined query probability. The fold program
 // is compiled once from the shards' (probability-independent) root row
-// structure and rerun as pure float arithmetic on every call, so a commit
-// that dirtied one shard pays only a few multiplies per shard to refresh
-// the combined answer; the combiner recompiles itself automatically when a
-// shard's plan structure changes (StageAttach bumps the generation).
+// structure and rerun as pure float arithmetic on every call, reading each
+// view's persisted root table in place, so a commit that dirtied one shard
+// pays only a few multiplies per shard to refresh the combined answer; the
+// combiner recompiles itself automatically when a shard's plan structure
+// changes (StageAttach bumps the generation).
 //
 // Every view must be a Materialized of a shard plan compiled for the same
 // conjunctive query; q supplies the (instance-independent) join of root
@@ -515,9 +441,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 type ShardCombiner struct {
 	q       Query
 	ms      []*Materialized
-	gens    []uint64  // structure generations: a mismatch forces a recompile
-	seen    []uint64  // commit generations: a match skips re-extraction
-	extract [][]int32 // per shard: root-table row index of each fold key
+	gens    []uint64 // structure generations: a mismatch forces a recompile
 	prog    foldProgram
 	vecs    [][]float64
 	scratch [][]float64
@@ -533,40 +457,19 @@ func NewShardCombiner(q Query, ms []*Materialized) *ShardCombiner {
 
 func (sc *ShardCombiner) compile() {
 	sc.gens = make([]uint64, len(sc.ms))
-	sc.seen = make([]uint64, len(sc.ms))
 	sc.vecs = make([][]float64, len(sc.ms))
-	sc.extract = make([][]int32, len(sc.ms))
-	roots := make([]shardRoots, len(sc.ms))
-	var buf []string
+	roots := make([][][]string, len(sc.ms))
 	for i, m := range sc.ms {
 		sc.gens[i] = m.structGen
-		layout := m.layouts[m.pl.root]
-		keys := make([]int32, 0, len(layout))
-		rowOf := make(map[int32]int32, len(layout))
-		for j, k := range layout {
-			keys = append(keys, k.set)
-			rowOf[k.set] = int32(j)
-		}
-		sortInt32(keys)
-		sets := make([][]string, len(keys))
-		ext := make([]int32, len(keys))
-		for j, set := range keys {
-			buf = m.pl.setStrings(set, buf)
-			sets[j] = append([]string(nil), buf...)
-			ext[j] = rowOf[set]
-		}
-		roots[i] = shardRoots{keys: keys, sets: sets}
-		sc.extract[i] = ext
-		sc.vecs[i] = make([]float64, len(keys))
+		roots[i] = m.pl.rootStates(m.layouts[m.pl.root])
 	}
 	sc.prog = compileFold(sc.q, roots)
 	sc.scratch = sc.prog.newScratch()
 }
 
-// Probability extracts the root probabilities of every shard whose tables
-// changed since the last call and folds the shards into the combined query
-// probability — O(dirty shards) table reads plus a few float operations per
-// shard. Call after the shards' Materialized views have committed.
+// Probability folds the shards' root tables into the combined query
+// probability — a few float operations per shard. Call after the shards'
+// Materialized views have committed.
 func (sc *ShardCombiner) Probability() (float64, error) {
 	for i, m := range sc.ms {
 		if m.structGen != sc.gens[i] {
@@ -575,15 +478,7 @@ func (sc *ShardCombiner) Probability() (float64, error) {
 		}
 	}
 	for i, m := range sc.ms {
-		if m.commitGen == sc.seen[i] {
-			continue // unchanged since the last fold
-		}
-		sc.seen[i] = m.commitGen
-		rootVals := m.vals[m.pl.root]
-		vec := sc.vecs[i]
-		for j, r := range sc.extract[i] {
-			vec[j] = rootVals[r]
-		}
+		sc.vecs[i] = m.vals[m.pl.root]
 	}
 	prob, mass := sc.prog.fold(sc.vecs, sc.scratch)
 	if massDrifted(mass) {

@@ -1,13 +1,15 @@
 // Package incr maintains live materialized views over prepared query plans:
 // the incremental-maintenance layer of the serving stack.
 //
-// The frozen-plan path of internal/core answers repeated probability requests
-// fast, but treats the database as a snapshot — any change to a probability
-// or to the fact set throws the plan away and pays a full Prepare plus a full
-// dynamic-programming pass. Following the shape of dynamic query evaluation
-// (answering queries under updates by maintaining evaluation state), a Store
-// keeps the per-node DP tables of each registered view materialized
-// (core.Materialized) and maintains them under updates.
+// A prepared plan of internal/core answers repeated probability requests
+// fast, but treats the database as a snapshot: any change to a probability
+// or to the fact set throws the plan away and pays a full Prepare (whose
+// row-program compile is the whole dynamic program's structure) plus a full
+// evaluation. Following the shape of dynamic query evaluation (answering
+// queries under updates by maintaining evaluation state), a Store keeps the
+// per-node DP tables of each registered view materialized
+// (core.Materialized, which adopts its plan's compiled node programs) and
+// maintains them under updates.
 //
 // The store is sharded by connected component: facts whose constants never
 // co-occur live in independent probability spaces, so each component gets
@@ -578,9 +580,9 @@ func (s *Store) Seq() uint64 {
 // all read in one critical section, so the caller can cache the snapshot
 // keyed by sequence without racing concurrent commits. The snapshot is
 // detached: later store commits do not touch it. This is the bridge to the
-// frozen-plan machinery of internal/core — a query service prepares a
-// ShardedPlan on the snapshot and evaluates request-supplied probability
-// assignments against it without holding any store lock.
+// snapshot plans of internal/core — a query service prepares a ShardedPlan
+// on the snapshot and evaluates request-supplied probability assignments
+// against it without holding any store lock.
 func (s *Store) Snapshot() (*pdb.TID, []int, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

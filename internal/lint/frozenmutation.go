@@ -1,12 +1,12 @@
 package lint
 
-// frozenmutation enforces the freeze contract that makes lock-free
-// concurrent serving sound: once a Plan / ShardedPlan is frozen, evaluation
-// must be write-free on the plan itself — all mutable state lives in pooled
-// per-evaluation scratch. A field write smuggled onto the evaluation path in
-// a refactor is a data race the type system cannot see (and -race only
-// catches if a test happens to exercise two goroutines through the new
-// write).
+// frozenmutation enforces the contract that makes lock-free concurrent
+// serving sound: once Prepare returns, a Plan / ShardedPlan is immutable, so
+// evaluation must be write-free on the plan itself — all mutable state lives
+// in pooled per-evaluation scratch. A field write smuggled onto the
+// evaluation path in a refactor is a data race the type system cannot see
+// (and -race only catches if a test happens to exercise two goroutines
+// through the new write).
 //
 // The analysis is directive-driven so it survives refactors of the types
 // themselves:
@@ -16,10 +16,10 @@ package lint
 //   - the static same-package call closure of the entry points is computed,
 //     and every assignment (including map-index writes and += / ++) whose
 //     left side selects a field of a frozen type is reported — unless the
-//     containing function is marked //pdblint:mutates, the annotation for
-//     the two legal write classes: lazily-filled transition caches guarded
-//     by missUnlessUnfrozen (unfrozen single-goroutine evaluation only) and
-//     pool/arena bookkeeping that never aliases plan fields.
+//     containing function is marked //pdblint:mutates, the escape hatch for
+//     a write proven safe by other means. The engine uses none: transition
+//     caches fill only in Prepare and StageAttach, which no entry point
+//     reaches.
 //
 // Writes hidden behind methods of non-frozen field types (interners, pools)
 // are out of scope; the directive on those helpers' callers plus the race

@@ -12,8 +12,9 @@
 //     textually different but identical CQs share one registered live view;
 //     cache misses register the view single-flight. A request carrying an
 //     explicit probability assignment is instead answered by a frozen
-//     component-sharded snapshot plan (core.PrepareSharded + Freeze), whose
-//     evaluation fans over the worker pool.
+//     component-sharded snapshot plan (core.PrepareSharded over the store
+//     snapshot, cached per commit sequence), whose evaluation fans over the
+//     worker pool.
 //   - POST /batch folds many probability assignments into one multi-lane
 //     ProbabilityBatch pass over the frozen snapshot plan; per-lane
 //     failures surface individually (core.LaneErrors), healthy lanes keep
@@ -497,9 +498,6 @@ func (s *Server) frozenPlan(nq rel.CQ, fp string) (*frozenEntry, bool, error) {
 		tid, ids, seq := s.store.Snapshot()
 		sp, base, err := core.PrepareShardedTID(tid, nq, s.cfg.Options)
 		if err != nil {
-			return nil, err
-		}
-		if err := sp.Freeze(); err != nil {
 			return nil, err
 		}
 		s.metrics.prepareFrozen.ObserveSince(t0)

@@ -6,7 +6,7 @@
 # engine's contracts: no callbacks or blocking channel ops under the store
 # lock (lockcallback), fixed-enum metric labels (obslabels), fmt-free
 # allocation-lean hot paths with their bounds hints intact (hotpath), no
-# writes to frozen plans outside marked paths (frozenmutation), and
+# plan writes on the evaluation paths (frozenmutation), and
 # slog-only logging in internal packages (slogonly).
 #
 # The vettool route runs the suite over every package *including test
