@@ -313,11 +313,12 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 			}
 			np.edges = subst(np.edges, n)
 		case pkForgetEvent:
-			n1, n := fanout(np.edges[:np.split]), fanout(np.edges)
-			if n > 2*len(np.edges)+16 {
+			e1, e0 := np.edges[:np.split], np.edges[np.split:]
+			n1, n0 := fanout(e1), fanout(e0)
+			if n1 > 2*len(e1)+16 || n0 > 2*len(e0)+16 || n1+n0 > 2*len(np.edges)+16 {
 				return
 			}
-			np.edges = subst(np.edges, n)
+			np.edges = subst(np.edges, n1+n0)
 			np.split = int32(n1)
 		case pkJoin:
 			n := 0
