@@ -107,7 +107,7 @@ func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 		pe:        make([]float64, len(pl.events)),
 		layouts:   append([][]rowKey(nil), pl.prog.layouts...),
 		vals:      make([][]float64, len(pl.nodes)),
-		progs:     append([]*nodeProg(nil), pl.prog.nodes...),
+		progs:     make([]*nodeProg, len(pl.nodes)),
 		deltas:    make([]*deltaIdx, len(pl.nodes)),
 		dirty:     make([]uint8, len(pl.nodes)),
 		structGen: pl.structGen,
@@ -116,6 +116,7 @@ func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 		m.pe[i] = p.P(e)
 	}
 	for t := range m.dirty {
+		m.progs[t] = &pl.prog.nodes[t]
 		m.dirty[t] = dirtyFull
 	}
 	m.anyDirty = true
@@ -289,7 +290,8 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		np := m.progs[t]
 		recompiled := false
 		if np == nil {
-			m.layouts[t], np = m.pl.compileNodeProg(t, m.layouts, map[rowKey]int32{})
+			np = new(nodeProg)
+			m.layouts[t] = m.pl.compileNodeProg(np, t, m.layouts, &rowIndex{})
 			m.progs[t] = np
 			recompiled = true
 		}

@@ -83,9 +83,10 @@ type Plan struct {
 	// pair, or set. Evaluation never reads them.
 	setTrans   map[setTransKey]int32 // (op, operand, set) -> successor set
 	joinCache  map[uint64]int32      // (left set, right set) -> joined set
-	stepCache  map[stepKey][]int32   // (op, operand, state) -> successor states
+	stepCache  map[stepKey]span      // (op, operand, state) -> successor states in stepSuccs
 	pairCache  map[uint64]int32      // (state, state) -> merged state, -1 dead
 	pruneCache map[int32]int32       // unpruned set -> pruned set
+	stepSuccs  []int32               // the successor lists of stepCache, back to back
 
 	// prog is the compiled row program (see rowprog.go), built by Prepare
 	// and read-only afterwards: the only thing evaluation runs.
@@ -192,14 +193,26 @@ func (si *stateInterner) id(s string) int32 {
 	return id
 }
 
+// span locates a run of elements in a shared backing slice. The cached id
+// lists are stored as spans so the caches hold no pointers: a cache entry
+// costs neither an allocation nor garbage-collector scanning.
+type span struct{ off, n int32 }
+
 // setInterner assigns dense int32 ids to sets of state ids. The key is the
 // little-endian byte image of the sorted member ids, looked up without
 // allocating via the map[string] index-expression optimization.
 type setInterner struct {
 	ids     map[string]int32
-	members [][]int32
+	spans   []span  // spans[set] locates the set's sorted members in members
+	members []int32 // the member lists of all sets, back to back
 	buf     []byte
 	idBuf   []int32
+}
+
+// members returns the sorted member state ids of an interned set.
+func (pl *Plan) members(set int32) []int32 {
+	sp := pl.sets.spans[set]
+	return pl.sets.members[sp.off : sp.off+sp.n]
 }
 
 // Prepare compiles a query plan for the pc-instance structure c and the
@@ -247,7 +260,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		sets:        setInterner{ids: map[string]int32{}},
 		setTrans:    map[setTransKey]int32{},
 		joinCache:   map[uint64]int32{},
-		stepCache:   map[stepKey][]int32{},
+		stepCache:   map[stepKey]span{},
 		pairCache:   map[uint64]int32{},
 		pruneCache:  map[int32]int32{},
 	}
@@ -439,8 +452,9 @@ func (pl *Plan) internIDs(ids []int32) int32 {
 	if id, ok := pl.sets.ids[string(buf)]; ok {
 		return id
 	}
-	id := int32(len(pl.sets.members))
-	pl.sets.members = append(pl.sets.members, append([]int32(nil), ids...))
+	id := int32(len(pl.sets.spans))
+	pl.sets.spans = append(pl.sets.spans, span{int32(len(pl.sets.members)), int32(len(ids))})
+	pl.sets.members = append(pl.sets.members, ids...)
 	pl.sets.ids[string(buf)] = id
 	acc := false
 	for _, sid := range ids {
@@ -457,7 +471,7 @@ func (pl *Plan) internIDs(ids []int32) int32 {
 // scratch buffer.
 func (pl *Plan) setStrings(set int32, buf []string) []string {
 	out := buf[:0]
-	for _, id := range pl.sets.members[set] {
+	for _, id := range pl.members(set) {
 		out = append(out, pl.states.strs[id])
 	}
 	return out
@@ -483,8 +497,8 @@ func (pl *Plan) pruned(raw int32) int32 {
 // first use only. Fact steps include the implicit identity transition.
 func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
 	k := stepKey{op: op, arg: int32(arg), state: state}
-	if succs, ok := pl.stepCache[k]; ok {
-		return succs
+	if sp, ok := pl.stepCache[k]; ok {
+		return pl.stepSuccs[sp.off : sp.off+sp.n]
 	}
 	st := pl.states.strs[state]
 	var out []string
@@ -496,12 +510,12 @@ func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
 	case opFact:
 		out = append(pl.q.FactTransitions(st, arg), st)
 	}
-	succs := make([]int32, 0, len(out))
+	off := len(pl.stepSuccs)
 	for _, s := range out {
-		succs = append(succs, pl.states.id(s))
+		pl.stepSuccs = append(pl.stepSuccs, pl.states.id(s))
 	}
-	pl.stepCache[k] = succs
-	return succs
+	pl.stepCache[k] = span{int32(off), int32(len(out))}
+	return pl.stepSuccs[off:]
 }
 
 // stepSet is the subset construction over interned sets: the successor of a
@@ -513,7 +527,7 @@ func (pl *Plan) stepSet(op uint8, arg int, set int32) int32 {
 		return r
 	}
 	ids := pl.idBuf[:0]
-	for _, sid := range pl.sets.members[set] {
+	for _, sid := range pl.members(set) {
 		ids = append(ids, pl.stepStates(op, arg, sid)...)
 	}
 	pl.idBuf = ids
@@ -546,8 +560,8 @@ func (pl *Plan) joinSets(a, b int32) int32 {
 		join = dj.JoinDirect
 	}
 	ids := pl.idBuf[:0]
-	for _, ia := range pl.sets.members[a] {
-		for _, ib := range pl.sets.members[b] {
+	for _, ia := range pl.members(a) {
+		for _, ib := range pl.members(b) {
 			pk := uint64(uint32(ia))<<32 | uint64(uint32(ib))
 			m, ok := pl.pairCache[pk]
 			if !ok {
@@ -625,7 +639,7 @@ func (pl *Plan) lineage() (*circuit.Circuit, circuit.Gate) {
 	gates := make([][]circuit.Gate, len(pl.nodes))
 	var ors [][]circuit.Gate // per-row disjuncts of the node being built
 	for _, t := range pl.post {
-		np := pl.prog.nodes[t]
+		np := &pl.prog.nodes[t]
 		for len(ors) < np.rows {
 			ors = append(ors, nil)
 		}

@@ -71,9 +71,9 @@ type nodeProg struct {
 
 // rowProgram is the whole-plan compile, built by Prepare.
 type rowProgram struct {
-	nodes   []*nodeProg // per-node programs, wired to the nice children
-	layouts [][]rowKey  // layouts[t][i]: the row key of node t's row i
-	// fused is the whole-plan program the evaluations run: nodes[t], or a
+	nodes   []nodeProg // per-node programs, wired to the nice children
+	layouts [][]rowKey // layouts[t][i]: the row key of node t's row i
+	// fused is the whole-plan program the evaluations run: &nodes[t], or a
 	// rewritten copy of it that gathers past folded unary nodes, or nil
 	// where node t was folded into its consumer. Edge slices fusion does
 	// not rewrite are shared with nodes.
@@ -95,34 +95,70 @@ func (pl *Plan) factRemap(nd *planNode, k rowKey) rowKey {
 	return k
 }
 
-// compileNodeProg compiles the row program of node t against the given
-// child row layouts (layouts[c][i] is the key of child c's row i) and
-// returns t's own layout alongside the program. Rows are laid out in
-// first-encounter order over the deterministic child-layout iteration, so
-// recompiling a node whose children kept their layouts reproduces the same
-// layout. Transition-cache misses fill the caches. idx is scratch for the
-// key → row index, cleared here, so one map serves a whole compile pass.
-func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32) ([]rowKey, *nodeProg) {
-	nd := &pl.nodes[t]
-	np := &nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
-	var keys []rowKey
-	if nd.child0 >= 0 {
-		keys = make([]rowKey, 0, len(layouts[nd.child0]))
+// rowIndex maps the row keys of the node being compiled to their rows: an
+// open-addressing table over storage reused across nodes and sized per node
+// from its row bound, so a compile pass neither allocates a map per node
+// nor probes a table grown for its largest node.
+type rowIndex struct {
+	slots []int32 // 1 + row of the key hashed here, 0 when empty
+	shift uint
+}
+
+// reset empties the table and sizes it for at most n keys.
+func (ri *rowIndex) reset(n int) {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
 	}
-	clear(idx)
-	slot := func(k rowKey) int32 {
-		if i, ok := idx[k]; ok {
-			return i
+	size := 1 << bits
+	if cap(ri.slots) < size {
+		ri.slots = make([]int32, size)
+	} else {
+		ri.slots = ri.slots[:size]
+		clear(ri.slots)
+	}
+	ri.shift = 64 - bits
+}
+
+// slot returns the row of k in *keys, appending k as a new row if absent.
+func (ri *rowIndex) slot(keys *[]rowKey, k rowKey) int32 {
+	h := (uint64(uint32(k.set))*0x9e3779b97f4a7c15 ^ k.bits) * 0xbf58476d1ce4e5b9
+	mask := uint64(len(ri.slots) - 1)
+	for i := h >> ri.shift; ; i = (i + 1) & mask {
+		r := ri.slots[i]
+		if r == 0 {
+			*keys = append(*keys, k)
+			ri.slots[i] = int32(len(*keys))
+			return int32(len(*keys)) - 1
 		}
-		i := int32(len(keys))
-		idx[k] = i
-		keys = append(keys, k)
-		return i
+		if (*keys)[r-1] == k {
+			return r - 1
+		}
 	}
+}
+
+// compileNodeProg compiles the row program of node t into np against the
+// given child row layouts (layouts[c][i] is the key of child c's row i) and
+// returns t's own layout. Rows are laid out in first-encounter order over
+// the deterministic child-layout iteration, so recompiling a node whose
+// children kept their layouts reproduces the same layout. Transition-cache
+// misses fill the caches.
+func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *rowIndex) []rowKey {
+	nd := &pl.nodes[t]
+	*np = nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
+	// Each case bounds the node's row count before slotting: the layout
+	// and the index are sized from it.
+	var keys []rowKey
+	reserve := func(n int) {
+		keys = make([]rowKey, 0, n)
+		ri.reset(n)
+	}
+	slot := func(k rowKey) int32 { return ri.slot(&keys, k) }
 
 	switch nd.kind {
 	case treedec.NiceLeaf:
 		np.kind = pkLeaf
+		reserve(1)
 		slot(pl.factRemap(nd, rowKey{set: pl.startSet}))
 
 	case treedec.NiceIntroduce:
@@ -130,6 +166,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 		child := layouts[nd.child0]
 		if nd.isEvent {
 			pos := nd.pos
+			reserve(2 * len(child))
 			np.edges = make([]rpEdge, 0, 2*len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
@@ -137,6 +174,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}))})
 			}
 		} else {
+			reserve(len(child))
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
@@ -146,6 +184,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 
 	case treedec.NiceForget:
 		child := layouts[nd.child0]
+		reserve(len(child))
 		if nd.isEvent {
 			np.kind = pkForgetEvent
 			np.eventIdx = nd.eventIdx
@@ -191,6 +230,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 		for _, lk := range left {
 			n += len(byBits[lk.bits])
 		}
+		reserve(n)
 		np.joins = make([]rpJoin, 0, n)
 		for li, lk := range left {
 			for _, ri := range byBits[lk.bits] {
@@ -202,7 +242,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 		}
 	}
 	np.rows = len(keys)
-	return keys, np
+	return keys
 }
 
 // compileProgram compiles every node of the plan in one structural pass
@@ -210,10 +250,10 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey, idx map[rowKey]int32)
 // away the plain-unary copy chains. Called by Prepare.
 func (pl *Plan) compileProgram() *rowProgram {
 	n := len(pl.nodes)
-	prog := &rowProgram{nodes: make([]*nodeProg, n), layouts: make([][]rowKey, n), gen: pl.structGen}
-	idx := make(map[rowKey]int32)
+	prog := &rowProgram{nodes: make([]nodeProg, n), layouts: make([][]rowKey, n), gen: pl.structGen}
+	var ri rowIndex
 	for _, t := range pl.post {
-		prog.layouts[t], prog.nodes[t] = pl.compileNodeProg(t, prog.layouts, idx)
+		prog.layouts[t] = pl.compileNodeProg(&prog.nodes[t], t, prog.layouts, &ri)
 	}
 	prog.fuseUnaryChains(pl.post, pl.root)
 	prog.rootSets = make([]int32, len(prog.layouts[pl.root]))
@@ -241,7 +281,10 @@ func (pl *Plan) compileProgram() *rowProgram {
 // The per-node programs stay untouched: a node whose input folds gets a
 // copy in fused, and only the slices the fold rewrites are new.
 func (rp *rowProgram) fuseUnaryChains(post []int, root int) {
-	rp.fused = append([]*nodeProg(nil), rp.nodes...)
+	rp.fused = make([]*nodeProg, len(rp.nodes))
+	for t := range rp.nodes {
+		rp.fused[t] = &rp.nodes[t]
+	}
 	for _, t := range post {
 		np := rp.fused[t]
 		if t == root || np == nil {
