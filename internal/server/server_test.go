@@ -534,6 +534,10 @@ func TestServerConcurrentMixed(t *testing.T) {
 		"S(?a,?b) & T(?b)",
 		"R(?q)",
 	}
+	// Subscribe before the writer starts, so the 15 commits below are sure
+	// to reach the watcher: subscribed late, it could wait forever for
+	// events that had all been committed already.
+	watch := openWatch(t, ts.URL)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -566,7 +570,6 @@ func TestServerConcurrentMixed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		watch := openWatch(t, ts.URL)
 		last := uint64(0)
 		for i := 0; i < 5; i++ {
 			ev := watch.next(t)
