@@ -95,46 +95,34 @@ func (pl *Plan) factRemap(nd *planNode, k rowKey) rowKey {
 	return k
 }
 
-// rowIndex maps the row keys of the node being compiled to their rows: an
-// open-addressing table over storage reused across nodes and sized per node
-// from its row bound, so a compile pass neither allocates a map per node
-// nor probes a table grown for its largest node.
+// rowIndex maps the row keys of the node being compiled to their rows, and
+// keys is that node's layout under construction. One index and one key
+// buffer serve every node of a compile pass; compileNodeProg copies the
+// layout out at its exact length, so a persisted layout holds no spare
+// capacity.
 type rowIndex struct {
-	slots []int32 // 1 + row of the key hashed here, 0 when empty
-	shift uint
+	idx  map[rowKey]int32
+	keys []rowKey
 }
 
-// reset empties the table and sizes it for at most n keys.
-func (ri *rowIndex) reset(n int) {
-	bits := uint(4)
-	for 1<<bits < 2*n {
-		bits++
+// reset empties the index for the next node.
+func (ri *rowIndex) reset() {
+	if ri.idx == nil {
+		ri.idx = map[rowKey]int32{}
 	}
-	size := 1 << bits
-	if cap(ri.slots) < size {
-		ri.slots = make([]int32, size)
-	} else {
-		ri.slots = ri.slots[:size]
-		clear(ri.slots)
-	}
-	ri.shift = 64 - bits
+	clear(ri.idx)
+	ri.keys = ri.keys[:0]
 }
 
-// slot returns the row of k in *keys, appending k as a new row if absent.
-func (ri *rowIndex) slot(keys *[]rowKey, k rowKey) int32 {
-	h := (uint64(uint32(k.set))*0x9e3779b97f4a7c15 ^ k.bits) * 0xbf58476d1ce4e5b9
-	mask := uint64(len(ri.slots) - 1)
-	for i := h >> ri.shift; ; i = (i + 1) & mask {
-		r := ri.slots[i]
-		if r == 0 {
-			*keys = append(*keys, k)
-			ri.slots[i] = int32(len(*keys))
-			return int32(len(*keys)) - 1
-		}
-		if (*keys)[r-1] == k {
-			return r - 1
-		}
+// slot returns the row of k, appending k as a new row if absent.
+func (ri *rowIndex) slot(k rowKey) int32 {
+	if r, ok := ri.idx[k]; ok {
+		return r
 	}
+	r := int32(len(ri.keys))
+	ri.keys = append(ri.keys, k)
+	ri.idx[k] = r
+	return r
 }
 
 // compileNodeProg compiles the row program of node t into np against the
@@ -146,19 +134,12 @@ func (ri *rowIndex) slot(keys *[]rowKey, k rowKey) int32 {
 func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *rowIndex) []rowKey {
 	nd := &pl.nodes[t]
 	*np = nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
-	// Each case bounds the node's row count before slotting: the layout
-	// and the index are sized from it.
-	var keys []rowKey
-	reserve := func(n int) {
-		keys = make([]rowKey, 0, n)
-		ri.reset(n)
-	}
-	slot := func(k rowKey) int32 { return ri.slot(&keys, k) }
+	ri.reset()
+	slot := ri.slot
 
 	switch nd.kind {
 	case treedec.NiceLeaf:
 		np.kind = pkLeaf
-		reserve(1)
 		slot(pl.factRemap(nd, rowKey{set: pl.startSet}))
 
 	case treedec.NiceIntroduce:
@@ -166,7 +147,6 @@ func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *row
 		child := layouts[nd.child0]
 		if nd.isEvent {
 			pos := nd.pos
-			reserve(2 * len(child))
 			np.edges = make([]rpEdge, 0, 2*len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
@@ -174,7 +154,6 @@ func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *row
 					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}))})
 			}
 		} else {
-			reserve(len(child))
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
@@ -184,7 +163,6 @@ func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *row
 
 	case treedec.NiceForget:
 		child := layouts[nd.child0]
-		reserve(len(child))
 		if nd.isEvent {
 			np.kind = pkForgetEvent
 			np.eventIdx = nd.eventIdx
@@ -230,7 +208,6 @@ func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *row
 		for _, lk := range left {
 			n += len(byBits[lk.bits])
 		}
-		reserve(n)
 		np.joins = make([]rpJoin, 0, n)
 		for li, lk := range left {
 			for _, ri := range byBits[lk.bits] {
@@ -241,8 +218,10 @@ func (pl *Plan) compileNodeProg(np *nodeProg, t int, layouts [][]rowKey, ri *row
 			}
 		}
 	}
-	np.rows = len(keys)
-	return keys
+	np.rows = len(ri.keys)
+	layout := make([]rowKey, len(ri.keys))
+	copy(layout, ri.keys)
+	return layout
 }
 
 // compileProgram compiles every node of the plan in one structural pass
