@@ -627,7 +627,7 @@ func BenchmarkE13Service(b *testing.B) {
 	tid := gen.RSTChain(200, 0.5)
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("query/clients=%d", clients), func(b *testing.B) {
-			s, err := server.New(tid, server.Config{Workers: clients})
+			s, err := server.New(tid, server.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -728,7 +728,7 @@ func BenchmarkE15Mixed(b *testing.B) {
 		{"readers=6/writers=2/ingest=256", 256, 500 * time.Microsecond},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := server.New(tid, server.Config{Workers: readers + writers, IngestBatch: tc.ingestBatch, IngestMaxWait: tc.maxWait})
+			s, err := server.New(tid, server.Config{IngestBatch: tc.ingestBatch, IngestMaxWait: tc.maxWait})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -125,7 +125,7 @@ func (pl *Plan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	}
 	out := make([]float64, B)
 	totals := make([]float64, B)
-	root := pl.runBatchProg(st, pe, B)
+	root := pl.runBatchProg(st, pl.prog.fused, pe, B)
 	for i, set := range pl.prog.rootSets {
 		v := root[i*B : i*B+B]
 		kernel.AddTo(totals, v)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/core/kernel"
 	"repro/internal/logic"
 	"repro/internal/pdb"
 	"repro/internal/rel"
@@ -43,12 +44,14 @@ import (
 // from scratch and the comparison never confuses float noise for change.
 //
 // A Materialized view is single-writer: it must be confined to one goroutine
-// (or externally locked, as incr.Store does). It may share its plan with
-// ordinary Probability/Result calls — those use their own pooled state — but
-// StageAttach mutates the plan's structure, after which plan-level
-// evaluation and any *other* Materialized view of the same plan fail with a
-// structure-changed error. One live-updated plan therefore carries exactly
-// one view.
+// (or externally locked, as incr.Store does). Between commits any number of
+// readers may run its read-only lane pass (laneRoot, through
+// ShardCombiner.ProbabilityBatch), which writes nothing of the view. It may
+// share its plan with ordinary Probability/Result calls — those use their
+// own pooled state — but StageAttach mutates the plan's structure, after
+// which plan-level evaluation and any *other* Materialized view of the same
+// plan fail with a structure-changed error. One live-updated plan therefore
+// carries exactly one view.
 type Materialized struct {
 	pl        *Plan
 	pe        []float64   // current per-event weights
@@ -223,6 +226,46 @@ func (m *Materialized) StageAttach(f rel.Fact, fi int, e logic.Event, pr float64
 	}
 	m.anyDirty = true
 	return nil
+}
+
+// LaneWeight overrides the weight of one event in one lane of a batched read
+// of live views (ShardCombiner.ProbabilityBatch).
+type LaneWeight struct {
+	Lane  int
+	Event logic.Event
+	P     float64
+}
+
+// laneRoot evaluates B lanes over the view without changing it and returns
+// a fresh root block (root rows × B, lane-major). Every lane starts from the
+// view's current weights, with ws scattered on top. It runs the view's
+// per-node programs, which stay correct after a StageAttach splice, unlike
+// the plan's fused program. Its scratch comes from the plan's evaluation
+// pool, never from the view's own buffers, so many readers can run it at
+// once. Call it only between commits.
+func (m *Materialized) laneRoot(B int, ws []LaneWeight) ([]float64, error) {
+	pl := m.pl
+	st := pl.getState()
+	defer pl.putState(st)
+	need := len(m.pe) * B
+	if cap(st.peBuf) < need {
+		st.peBuf = make([]float64, need)
+	}
+	pe := st.peBuf[:need]
+	for i, w := range m.pe {
+		kernel.Fill(pe[i*B:i*B+B], w)
+	}
+	for _, w := range ws {
+		i, ok := pl.eventIdx[w.Event]
+		if !ok {
+			return nil, fmt.Errorf("core: event %q is not an event of the plan", w.Event)
+		}
+		pe[i*B+w.Lane] = w.P
+	}
+	root := pl.runBatchProg(st, m.progs, pe, B)
+	out := append([]float64(nil), root...)
+	st.arena.Put(root)
+	return out, nil
 }
 
 // CommitStats reports what one CommitDelta actually did: how many node

@@ -604,7 +604,7 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 	st.one[0] = p
 	pe := pl.fillLaneWeights(st, st.one[:])
 	st.one[0] = nil
-	root := pl.runBatchProg(st, pe, 1)
+	root := pl.runBatchProg(st, pl.prog.fused, pe, 1)
 	for i, set := range pl.prog.rootSets {
 		res.TotalMass += root[i]
 		if pl.accept[set] {

@@ -29,8 +29,9 @@ import (
 //
 //   - the per-node programs and layouts, wired to the nice children. Result
 //     walks them to build lineage, and core.Materialized adopts them for its
-//     persisted tables; StageAttach recompiles the splice's ancestors
-//     (compileNodeProg) against the view's own layouts.
+//     persisted tables and its read-only lane pass; StageAttach recompiles
+//     the splice's ancestors (compileNodeProg) against the view's own
+//     layouts.
 //   - the fused whole-plan program (fuseUnaryChains), which Probability,
 //     ProbabilityBatch and the sharded plans run.
 
@@ -430,21 +431,22 @@ func runNodeProg1(np *nodeProg, dst, c0, c1 []float64, w float64) {
 	}
 }
 
-// runBatchProg executes the compiled row program bottom-up under the
-// lane-major weight matrix pe and returns the root block (rows × B,
-// lane-major), whose ownership passes to the caller (Put it back into st's
-// arena). Blocks are recycled through the arena as soon as each parent has
-// consumed them, so the live memory tracks the frontier of the sweep and
-// steady-state calls through a pooled state allocate nothing.
+// runBatchProg executes a row program bottom-up under the lane-major
+// weight matrix pe and returns the root block (rows × B, lane-major), whose
+// ownership passes to the caller (Put it back into st's arena). progs is the
+// plan's fused program or a live view's per-node programs. Blocks are
+// recycled through the arena as soon as each parent has consumed them, so
+// the live memory tracks the frontier of the sweep and steady-state calls
+// through a pooled state allocate nothing.
 //
 //pdblint:hotpath
-func (pl *Plan) runBatchProg(st *evalState, pe []float64, B int) []float64 {
+func (pl *Plan) runBatchProg(st *evalState, progs []*nodeProg, pe []float64, B int) []float64 {
 	if len(st.blocks) < len(pl.nodes) {
 		st.blocks = make([][]float64, len(pl.nodes))
 	}
 	blocks := st.blocks
 	for _, t := range pl.post {
-		np := pl.prog.fused[t]
+		np := progs[t]
 		if np == nil {
 			continue // folded into its consumer by fuseUnaryChains
 		}

@@ -12,13 +12,10 @@ import (
 // Request names one independent evaluation for Serve: a compiled plan and
 // the event probability map to evaluate it under. Requests may mix plans
 // freely — many requests sharing one plan (a parameter sweep), or each
-// carrying its own (mixed queries). Exactly one of Plan and Sharded must be
-// set; component-sharded plans additionally fan their own shards over the
-// pool.
+// carrying its own (mixed queries).
 type Request struct {
-	Plan    *Plan
-	Sharded *ShardedPlan
-	P       logic.Prob
+	Plan *Plan
+	P    logic.Prob
 }
 
 // Response is the outcome of one Request.
@@ -48,15 +45,9 @@ func Serve(reqs []Request, workers int) []Response {
 	}
 
 	runPool(len(reqs), workers, func(i int) {
-		req := reqs[i]
-		switch {
-		case req.Plan != nil && req.Sharded != nil:
-			out[i].Err = fmt.Errorf("core: request %d sets both Plan and Sharded", i)
-		case req.Plan != nil:
+		if req := reqs[i]; req.Plan != nil {
 			out[i].Probability, out[i].Err = req.Plan.Probability(req.P)
-		case req.Sharded != nil:
-			out[i].Probability, out[i].Err = req.Sharded.Probability(req.P)
-		default:
+		} else {
 			out[i].Err = fmt.Errorf("core: request %d has a nil plan", i)
 		}
 	})

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core/kernel"
 	"repro/internal/logic"
@@ -49,10 +48,6 @@ type ShardedPlan struct {
 
 	// The precompiled fold over the shards' root distributions.
 	prog foldProgram
-
-	// onShardEval, when set, receives the wall time of every per-shard DP
-	// evaluation (see SetEvalObserver).
-	onShardEval func(shard int, d time.Duration)
 }
 
 // foldProgram is a compiled cross-shard combine: steps[s] multiplies the
@@ -69,9 +64,10 @@ type foldProgram struct {
 // foldStep combines the running cross-shard distribution with one shard's
 // root vector: every edge multiplies running row a with shard row b into
 // output row out (rows whose joined state sets coincide share an output row).
+// in is the shard's root row count.
 type foldStep struct {
-	edges []foldEdge
-	rows  int
+	edges    []foldEdge
+	rows, in int
 }
 
 type foldEdge struct{ a, b, out int32 }
@@ -99,7 +95,7 @@ func compileFold(q Query, roots [][][]string) foldProgram {
 	for si, sets := range roots {
 		var outSets [][]string
 		outIdx := map[string]int32{}
-		step := foldStep{}
+		step := foldStep{in: len(sets)}
 		for a, A := range cur {
 			for b, B := range sets {
 				m := detJoin(A, B, q)
@@ -164,6 +160,42 @@ func (fp *foldProgram) fold(vecs, scratch [][]float64) (prob, mass float64) {
 		}
 	}
 	return prob, mass
+}
+
+// foldLanes is the batch fold: it runs the program over B lanes at once.
+// vecs[s] is shard s's root block (root rows × B, lane-major) or, for a
+// shard every lane shares, its single-lane root vector, which is broadcast.
+// Lanes marked in lerrs (nil, or one entry per lane) failed upstream and
+// come back NaN; the rest go through the shared epilogue (finishLanes).
+func (fp *foldProgram) foldLanes(vecs [][]float64, B int, lerrs []error) ([]float64, error) {
+	cur := make([]float64, B)
+	kernel.Fill(cur, 1)
+	for si := range fp.steps {
+		step := &fp.steps[si]
+		next := make([]float64, step.rows*B)
+		sv := vecs[si]
+		shared := len(sv) != step.in*B
+		for _, e := range step.edges {
+			dst, a := next[int(e.out)*B:int(e.out)*B+B], cur[int(e.a)*B:int(e.a)*B+B]
+			if shared {
+				kernel.ScaleAdd(dst, a, sv[e.b])
+			} else {
+				kernel.MulAdd(dst, a, sv[int(e.b)*B:int(e.b)*B+B])
+			}
+		}
+		cur = next
+	}
+	out := make([]float64, B)
+	totals := make([]float64, B)
+	for r, acc := range fp.accepts {
+		row := cur[r*B : r*B+B]
+		kernel.AddTo(totals, row)
+		if acc {
+			kernel.AddTo(out, row)
+		}
+	}
+	finishLanes(out, totals, &lerrs)
+	return out, laneError(lerrs)
 }
 
 // PrepareSharded compiles one plan per connected component of the joint
@@ -305,39 +337,19 @@ func (sp *ShardedPlan) ShardOfEvent(e logic.Event) (int, bool) {
 	return k, ok
 }
 
-// SetEvalObserver installs fn to receive the wall time of every per-shard
-// DP evaluation this plan runs — the per-shard breakdown behind a request's
-// eval stage. fn must be safe for concurrent calls (sharded plans fan shards
-// over a pool and serve many requests at once; an atomic histogram is the
-// intended sink). Set it once, before the plan starts serving; nil
-// disables. The cost when set is two clock reads per shard per
-// evaluation.
-func (sp *ShardedPlan) SetEvalObserver(fn func(shard int, d time.Duration)) {
-	sp.onShardEval = fn
-}
-
 // evalShards runs every shard's row program under the validated lanes ps
 // and returns each shard's root block (root rows × lanes, lane-major),
 // fanning the shards over a worker pool.
 func (sp *ShardedPlan) evalShards(ps []logic.Prob) [][]float64 {
 	vecs := make([][]float64, len(sp.shards))
-	eval := func(i int) {
+	runPool(len(sp.shards), 0, func(i int) {
 		pl := sp.shards[i]
 		st := pl.getState()
-		root := pl.runBatchProg(st, pl.fillLaneWeights(st, ps), len(ps))
+		root := pl.runBatchProg(st, pl.prog.fused, pl.fillLaneWeights(st, ps), len(ps))
 		vecs[i] = append([]float64(nil), root...)
 		st.arena.Put(root)
 		pl.putState(st)
-	}
-	if sp.onShardEval != nil {
-		inner := eval
-		eval = func(i int) {
-			t0 := time.Now()
-			inner(i)
-			sp.onShardEval(i, time.Since(t0))
-		}
-	}
-	runPool(len(sp.shards), 0, eval)
+	})
 	return vecs
 }
 
@@ -392,35 +404,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	if nan := allLanesNaN(lerrs); nan != nil {
 		return nan, LaneErrors(lerrs)
 	}
-	vecs := sp.evalShards(clean)
-
-	cur := make([]float64, B)
-	for l := range cur {
-		cur[l] = 1
-	}
-	rows := 1
-	for si := range sp.prog.steps {
-		step := &sp.prog.steps[si]
-		next := make([]float64, step.rows*B)
-		sv := vecs[si]
-		for _, e := range step.edges {
-			kernel.MulAdd(next[int(e.out)*B:int(e.out)*B+B], cur[int(e.a)*B:int(e.a)*B+B], sv[int(e.b)*B:int(e.b)*B+B])
-		}
-		cur = next
-		rows = step.rows
-	}
-
-	out := make([]float64, B)
-	totals := make([]float64, B)
-	for r := 0; r < rows; r++ {
-		row := cur[r*B : r*B+B]
-		kernel.AddTo(totals, row)
-		if sp.prog.accepts[r] {
-			kernel.AddTo(out, row)
-		}
-	}
-	finishLanes(out, totals, &lerrs)
-	return out, laneError(lerrs)
+	return sp.prog.foldLanes(sp.evalShards(clean), B, lerrs)
 }
 
 // ShardCombiner is the commit-time recombination step of sharded live
@@ -491,4 +475,34 @@ func (sc *ShardCombiner) Probability() (float64, error) {
 		prob = 1
 	}
 	return prob, nil
+}
+
+// ProbabilityBatch answers B lanes from the shard views without changing
+// them. overrides[k] holds the lane weights of shard k: a shard with none
+// contributes its materialized root table as it stands, and every other
+// shard runs its read-only lane pass (Materialized.laneRoot) once over all
+// B lanes. lerrs, when non-nil, holds one entry per lane: lanes already
+// failed upstream come back NaN. The other lanes fail independently on mass
+// drift, as in (*Plan).ProbabilityBatch.
+//
+// Unlike Probability it writes no combiner or view state, so any number of
+// readers may call it at once while no commit runs (incr.Store holds its
+// read lock), provided the views have committed since their last change.
+func (sc *ShardCombiner) ProbabilityBatch(B int, overrides [][]LaneWeight, lerrs []error) ([]float64, error) {
+	vecs := make([][]float64, len(sc.ms))
+	for k, m := range sc.ms {
+		if m.structGen != sc.gens[k] {
+			return nil, errStructureChanged
+		}
+		if len(overrides[k]) == 0 {
+			vecs[k] = m.vals[m.pl.root]
+			continue
+		}
+		root, err := m.laneRoot(B, overrides[k])
+		if err != nil {
+			return nil, err
+		}
+		vecs[k] = root
+	}
+	return sc.prog.foldLanes(vecs, B, lerrs)
 }

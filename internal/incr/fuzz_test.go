@@ -15,8 +15,11 @@ import (
 // store and asserts, after every commit, that each live view equals the full
 // re-Prepare oracle to 1e-12 — including after tombstones, revivals,
 // singleton-shard opens, component merges, fallback re-shards and net-zero
-// churn batches that the delta pass short-circuits. Three bytes drive one
-// operation: opcode, argument, probability.
+// churn batches that the delta pass short-circuits. Re-Prepare runs the same
+// transition code as the views, so on stores of at most 12 live facts every
+// view, and a 3-lane ProbabilityBatch of the first, is also checked against
+// possible-world enumeration (checkWorlds). Three bytes drive one operation:
+// opcode, argument, probability.
 func FuzzIncrementalUpdates(f *testing.F) {
 	f.Add([]byte{0, 3, 128, 2, 1, 200, 4, 5, 0, 3, 9, 64})
 	f.Add([]byte{2, 0, 255, 2, 0, 10, 5, 0, 77, 1, 2, 30})
@@ -41,6 +44,7 @@ func FuzzIncrementalUpdates(f *testing.F) {
 			t.Fatal(err)
 		}
 		views := []*View{v1, v2, v3}
+		seeded := s.Len()
 
 		step := func(op, arg byte, pr float64) {
 			switch op % 10 {
@@ -181,6 +185,35 @@ func FuzzIncrementalUpdates(f *testing.F) {
 					t.Fatalf("op %d view %d: incremental %v, oracle %v", ops, vi, got, want)
 				}
 			}
+			if s.NumLive() <= 12 {
+				checkWorlds(t, s, views, seeded, float64(data[i+2])/255, fmt.Sprintf("op %d", ops))
+			}
 		}
 	})
+}
+
+// checkWorlds compares every view with possible-world enumeration, then
+// runs three lanes through the first view's ProbabilityBatch: no override,
+// an override of a live fact inserted since registration (its shard answers
+// through spliced programs when the insert was attached in place), and an
+// override of a deleted fact, which must come back as a lane error. The
+// first seeded ids were the facts at registration.
+func checkWorlds(t *testing.T, s *Store, views []*View, seeded int, pr float64, ctx string) {
+	for vi, v := range views {
+		if got, want := v.Probability(), worldsOracle(t, s, v.Query(), nil); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s view %d: incremental %v, enumeration %v", ctx, vi, got, want)
+		}
+	}
+	lanes := []map[int]float64{{}, {}, {}}
+	bad := map[int]bool{}
+	for id := 0; id < s.Len(); id++ {
+		switch {
+		case s.Live(id) && id >= seeded && len(lanes[1]) == 0:
+			lanes[1][id] = pr
+		case !s.Live(id) && len(lanes[2]) == 0:
+			lanes[2][id] = pr
+			bad[2] = true
+		}
+	}
+	checkBatch(t, s, views[0], lanes, bad, ctx)
 }

@@ -34,15 +34,16 @@
 //     that overlap are recomputed a single time, and a batch containing any
 //     non-absorbable insert costs one rebuild total.
 //
-// Readers (View.Probability, Stats) take a shared lock and may run
-// concurrently with each other and between commits. Subscribe delivers the
-// refreshed probabilities of every view after each commit; callbacks run
-// after the commit's lock is released (so they may call back into the
-// store), serialized in commit order.
+// Readers (View.Probability, View.ProbabilityBatch, Stats) take a shared
+// lock and may run concurrently with each other and between commits.
+// Subscribe delivers the refreshed probabilities of every view after each
+// commit; callbacks run after the commit's lock is released (so they may
+// call back into the store), serialized in commit order.
 package incr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -239,6 +240,19 @@ type View struct {
 	comb   *core.ShardCombiner // compiled cross-shard fold over the shard views
 	shards []viewShard         // aligned with store.shards
 	prob   float64             // combined probability, refreshed at every commit
+
+	// detached is set by UnregisterView: the view stops following commits,
+	// and its reads answer from, and are labelled with, the state it
+	// reflected then.
+	detached *placement
+}
+
+// placement is the part of the store's state a view's reads route by: the
+// commit, and each fact id's owning shard and deleted flag.
+type placement struct {
+	seq     uint64
+	shardOf []int
+	deleted []bool
 }
 
 type viewShard struct {
@@ -505,7 +519,78 @@ func (v *View) Probability() float64 {
 func (v *View) ProbabilitySeq() (float64, uint64) {
 	v.store.mu.RLock()
 	defer v.store.mu.RUnlock()
-	return v.prob, v.store.seq
+	return v.prob, v.placement().seq
+}
+
+// placement returns the state the view reflects: the store's current one
+// while the view is registered, the one recorded at UnregisterView after.
+// Called under the store lock.
+func (v *View) placement() placement {
+	if v.detached != nil {
+		return *v.detached
+	}
+	s := v.store
+	return placement{seq: s.seq, shardOf: s.shardOf, deleted: s.deleted}
+}
+
+// ErrNoLiveFact marks a probability override naming a fact id that is
+// unknown or deleted at the commit a read reflects.
+var ErrNoLiveFact = errors.New("incr: no live fact")
+
+// ProbabilityBatch answers len(lanes) probability assignments against the
+// view without changing it. Lane l is the query probability under the
+// view's current weights with the facts of lanes[l] (store fact id →
+// probability) overridden. The returned seq is the commit the answers
+// reflect. It runs under the store's read lock, beside other readers, and
+// prepares nothing: a shard some lane touches runs its per-node programs
+// once over all lanes, and every other shard contributes its maintained root
+// table.
+//
+// Lanes fail independently. A lane naming an unknown or deleted fact
+// (ErrNoLiveFact), carrying a probability outside [0,1], or whose mass
+// drifts comes back NaN under a core.LaneErrors entry, and the other lanes
+// keep their values.
+func (v *View) ProbabilityBatch(lanes []map[int]float64) ([]float64, uint64, error) {
+	s := v.store
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	at := v.placement()
+	if s.broken != nil {
+		return nil, at.seq, s.broken
+	}
+	if len(lanes) == 0 {
+		return nil, at.seq, nil
+	}
+	overrides := make([][]core.LaneWeight, len(v.shards))
+	var lerrs []error
+	for l, lane := range lanes {
+		if err := at.checkLane(lane); err != nil {
+			if lerrs == nil {
+				lerrs = make([]error, len(lanes))
+			}
+			lerrs[l] = err
+			continue
+		}
+		for id, p := range lane {
+			k := at.shardOf[id]
+			overrides[k] = append(overrides[k], core.LaneWeight{Lane: l, Event: s.eventOf(id), P: p})
+		}
+	}
+	out, err := v.comb.ProbabilityBatch(len(lanes), overrides, lerrs)
+	return out, at.seq, err
+}
+
+// checkLane validates one lane's overrides against the placement.
+func (at placement) checkLane(lane map[int]float64) error {
+	for id, p := range lane {
+		if id < 0 || id >= len(at.deleted) || at.deleted[id] || at.shardOf[id] < 0 {
+			return fmt.Errorf("%w with id %d", ErrNoLiveFact, id)
+		}
+		if err := pdb.ValidateProb(p); err != nil {
+			return fmt.Errorf("incr: fact %d: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // Shape returns the aggregate structural statistics of the view's shard
@@ -546,14 +631,20 @@ func (v *View) Query() rel.CQ { return v.q }
 // maintained (and stops appearing in commit notifications) from the next
 // commit on. Maintenance cost is proportional to the registered views, so
 // long-lived servers evicting cold queries should unregister them. A view
-// that is not (or no longer) registered is a no-op. The view's last
-// Probability stays readable but is frozen at its final commit.
+// that is not (or no longer) registered is a no-op. The view stays readable
+// but is frozen at its final commit: ProbabilitySeq and ProbabilityBatch
+// answer from that commit and label their answers with its seq.
 func (s *Store) UnregisterView(v *View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, other := range s.views {
 		if other == v {
 			s.views = append(s.views[:i], s.views[i+1:]...)
+			v.detached = &placement{
+				seq:     s.seq,
+				shardOf: append([]int(nil), s.shardOf...),
+				deleted: append([]bool(nil), s.deleted...),
+			}
 			return
 		}
 	}
@@ -577,12 +668,10 @@ func (s *Store) Seq() uint64 {
 // Snapshot materializes the live facts as a fresh TID instance, returning
 // alongside it the store id of every snapshot fact (ids[i] is the store id
 // of snapshot fact i) and the commit sequence the snapshot was taken at —
-// all read in one critical section, so the caller can cache the snapshot
-// keyed by sequence without racing concurrent commits. The snapshot is
-// detached: later store commits do not touch it. This is the bridge to the
-// snapshot plans of internal/core — a query service prepares a ShardedPlan
-// on the snapshot and evaluates request-supplied probability assignments
-// against it without holding any store lock.
+// all read in one critical section. The snapshot is detached: later store
+// commits do not touch it. It feeds the from-scratch Oracle and offline
+// tools; request-supplied probability assignments are answered on the live
+// views instead (View.ProbabilityBatch).
 func (s *Store) Snapshot() (*pdb.TID, []int, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

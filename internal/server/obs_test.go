@@ -57,7 +57,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsEndToEnd drives every instrumented path of a durable server —
-// live queries (miss then hit), a frozen-plan assignment query, a batch, a
+// live queries (miss then hit), an assignment query, a batch, a
 // durable update — and asserts the exposition carries the series the
 // acceptance criteria name, with sane values.
 func TestMetricsEndToEnd(t *testing.T) {
@@ -121,11 +121,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`pdbd_http_responses_total{endpoint="query",code="400"}`,
 		`pdbd_plan_cache_events_total{event="hit"}`,
 		`pdbd_plan_cache_events_total{event="miss"}`,
-		`pdbd_frozen_cache_events_total{event="miss"}`,
 		`pdbd_prepare_seconds_count{kind="view"}`,
-		`pdbd_prepare_seconds_count{kind="frozen"}`,
 		`pdbd_eval_seconds_count`,
-		`pdbd_shard_eval_seconds_count`,
 		`pdbd_batch_lanes_count`,
 		`incr_commits_total`,
 		`incr_commit_seconds_count`,
@@ -142,6 +139,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("series %s = %v, want > 0", name, v)
 		}
+	}
+	// Assignment queries and batches answer on the live view: no snapshot
+	// plan is prepared or cached.
+	for name := range m {
+		if strings.HasPrefix(name, "pdbd_frozen_cache_events_total") || strings.Contains(name, `kind="frozen"`) {
+			t.Errorf("snapshot-plan series %s exposed", name)
+		}
+	}
+	if got := m[`pdbd_prepare_seconds_count{kind="view"}`]; got != 1 {
+		t.Errorf("view prepares = %v, want 1 (one shape)", got)
 	}
 	if got := m[`pdbd_http_request_seconds_count{endpoint="query"}`]; got != 4 {
 		t.Errorf("query request count = %v, want 4", got)

@@ -118,7 +118,7 @@ func TestQueryAssignmentOverride(t *testing.T) {
 		t.Fatalf("override P(q) = %v, want %v", qr.Probability, 0.72)
 	}
 	if qr.Cached {
-		t.Error("first assignment request reported as cached (the frozen plan was just prepared)")
+		t.Error("first assignment request reported as cached (its view was just registered)")
 	}
 	var qrHit queryResponse
 	postJSON(t, ts.URL+"/query", queryRequest{
@@ -126,10 +126,10 @@ func TestQueryAssignmentOverride(t *testing.T) {
 		Assignment: map[string]float64{"1": 0.25},
 	}, &qrHit)
 	if !qrHit.Cached {
-		t.Error("second assignment request missed the frozen cache")
+		t.Error("second assignment request missed the view cache")
 	}
 	if math.Abs(qrHit.Probability-0.9*0.25*0.8) > 1e-12 {
-		t.Fatalf("cached frozen plan answered %v", qrHit.Probability)
+		t.Fatalf("cached view answered %v", qrHit.Probability)
 	}
 	// The live store is untouched by per-request overrides.
 	var qr2 queryResponse
@@ -147,30 +147,27 @@ func TestQueryAssignmentOverride(t *testing.T) {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{Workers: 4})
-		var br batchResponse
-		resp := postJSON(t, ts.URL+"/batch", batchRequest{
-			Query: "R(?x) & S(?x,?y) & T(?y)",
-			Assignments: []map[string]float64{
-				{},
-				{"1": 0.1},
-				{"0": 1, "1": 1, "2": 1},
-			},
-			Parallel: parallel,
-		}, &br)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parallel=%v: status %d", parallel, resp.StatusCode)
+	_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
+	var br batchResponse
+	resp := postJSON(t, ts.URL+"/batch", batchRequest{
+		Query: "R(?x) & S(?x,?y) & T(?y)",
+		Assignments: []map[string]float64{
+			{},
+			{"1": 0.1},
+			{"0": 1, "1": 1, "2": 1},
+		},
+	}, &br)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	want := []float64{0.36, 0.9 * 0.1 * 0.8, 1}
+	for i, w := range want {
+		if math.Abs(br.Probabilities[i]-w) > 1e-12 {
+			t.Errorf("lane %d = %v, want %v", i, br.Probabilities[i], w)
 		}
-		want := []float64{0.36, 0.9 * 0.1 * 0.8, 1}
-		for i, w := range want {
-			if math.Abs(br.Probabilities[i]-w) > 1e-12 {
-				t.Errorf("parallel=%v lane %d = %v, want %v", parallel, i, br.Probabilities[i], w)
-			}
-		}
-		if br.Errors != nil {
-			t.Errorf("parallel=%v: unexpected lane errors %v", parallel, br.Errors)
-		}
+	}
+	if br.Errors != nil {
+		t.Errorf("unexpected lane errors %v", br.Errors)
 	}
 }
 
@@ -375,7 +372,7 @@ func (r *sseReader) next(t *testing.T) pdbio.WatchEvent {
 // /watch stream receives commit-ordered refreshed probabilities that match a
 // from-scratch incr.Oracle recomputation to 1e-12.
 func TestEndToEndServing(t *testing.T) {
-	s, ts := newTestServer(t, gen.RSTChain(6, 0.5), Config{Workers: 4})
+	s, ts := newTestServer(t, gen.RSTChain(6, 0.5), Config{})
 	q := rel.HardQuery()
 	fp := core.FingerprintCQ(q)
 
@@ -528,7 +525,7 @@ func TestDrain(t *testing.T) {
 // only require the server never errors and stays internally consistent,
 // checked by a final oracle comparison once writers are done.
 func TestServerConcurrentMixed(t *testing.T) {
-	s, ts := newTestServer(t, gen.RSTChain(5, 0.5), Config{Workers: 4, CacheSize: 4})
+	s, ts := newTestServer(t, gen.RSTChain(5, 0.5), Config{CacheSize: 4})
 	queries := []string{
 		"R(?x) & S(?x,?y) & T(?y)",
 		"S(?a,?b) & T(?b)",
@@ -597,9 +594,10 @@ func TestServerConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestFrozenSnapshotRefresh: frozen batch plans are invalidated by commits —
-// a /batch after an update answers from the new facts.
-func TestFrozenSnapshotRefresh(t *testing.T) {
+// TestBatchAfterWeightUpdate: a /batch after a weight-only /update answers
+// from the new weight and carries the commit's seq, and the commit prepares
+// nothing: the view registered by the first /batch answers both.
+func TestBatchAfterWeightUpdate(t *testing.T) {
 	s, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
 	var br batchResponse
 	postJSON(t, ts.URL+"/batch", batchRequest{
@@ -609,7 +607,9 @@ func TestFrozenSnapshotRefresh(t *testing.T) {
 	if math.Abs(br.Probabilities[0]-0.36) > 1e-12 {
 		t.Fatalf("pre-update batch = %v", br.Probabilities[0])
 	}
-	postJSON(t, ts.URL+"/update", map[string]any{"updates": []updateOp{{Op: "set", ID: ip(0), P: 1}}}, nil)
+	prepares := s.Stats().Prepares
+	var ur updateResponse
+	postJSON(t, ts.URL+"/update", map[string]any{"updates": []updateOp{{Op: "set", ID: ip(0), P: 1}}}, &ur)
 	var br2 batchResponse
 	postJSON(t, ts.URL+"/batch", batchRequest{
 		Query:       "R(?x) & S(?x,?y) & T(?y)",
@@ -618,12 +618,11 @@ func TestFrozenSnapshotRefresh(t *testing.T) {
 	if math.Abs(br2.Probabilities[0]-0.4) > 1e-12 {
 		t.Fatalf("post-update batch = %v, want 0.4", br2.Probabilities[0])
 	}
-	if br2.Seq != s.Store().Seq() {
-		t.Fatalf("batch snapshot seq %d, store %d", br2.Seq, s.Store().Seq())
+	if br2.Seq != ur.Seq || br2.Seq != s.Store().Seq() {
+		t.Fatalf("batch seq %d, update acked %d, store %d", br2.Seq, ur.Seq, s.Store().Seq())
 	}
-	st := s.Stats()
-	if st.FrozenMisses != 2 {
-		t.Errorf("frozen misses = %d, want 2 (initial + refresh)", st.FrozenMisses)
+	if got := s.Stats().Prepares; got != prepares {
+		t.Errorf("prepares went %d -> %d across a weight-only update", prepares, got)
 	}
 }
 
@@ -662,7 +661,6 @@ func ip(i int) *int { return &i }
 // batcher keeps its per-caller 422 semantics.
 func TestIngestBatcherConcurrentWriters(t *testing.T) {
 	s, ts := newTestServer(t, gen.RSTChain(12, 0.5), Config{
-		Workers:       4,
 		CacheSize:     4,
 		IngestBatch:   64,
 		IngestMaxWait: 2 * time.Millisecond,

@@ -5,6 +5,8 @@
 #   - /metrics parses as Prometheus text and the key series are nonzero
 #     (request latency histograms, WAL fsync histogram, commit counters,
 #     plan-cache events),
+#   - a /batch after an /update is answered on the live view: the view
+#     prepare count does not grow and no frozen snapshot-cache series exists,
 #   - the slow-query log emitted structured records with stage breakdowns,
 #   - net/http/pprof and the /metrics mirror answer on the debug address.
 #
@@ -46,11 +48,23 @@ if [ "$up" != 1 ]; then
 fi
 
 post() { curl -sf -X POST "http://$addr/$1" -d "$2" >/dev/null; }
+# sample prints the value of one series from a fresh /metrics scrape.
+sample() { curl -sf "http://$addr/metrics" | awk -v s="$1" '$1 == s { print $2 }'; }
 post query  '{"query":"R(?x) & S(?x,?y) & T(?y)"}'
 post query  '{"query":"R(?x) & S(?x,?y) & T(?y)"}'
 post query  '{"query":"R(?x) & S(?x,?y) & T(?y)","assignment":{"0":0.5}}'
 post batch  '{"query":"R(?x) & S(?x,?y) & T(?y)","assignments":[{"0":0.1},{"0":0.9}]}'
 post update '{"updates":[{"op":"set","id":0,"p":0.55}]}'
+
+# A /batch after a commit answers on the live view: it prepares nothing.
+view_prepares="$(sample 'pdbd_prepare_seconds_count{kind="view"}')"
+post update '{"updates":[{"op":"set","id":1,"p":0.45}]}'
+post batch  '{"query":"R(?x) & S(?x,?y) & T(?y)","assignments":[{"2":0.3},{}]}'
+after="$(sample 'pdbd_prepare_seconds_count{kind="view"}')"
+if [ -z "$view_prepares" ] || [ "$after" != "$view_prepares" ]; then
+    echo "FAIL: view prepares went '${view_prepares:-<absent>}' -> '${after:-<absent>}' across /update + /batch" >&2
+    exit 1
+fi
 
 metrics="$workdir/metrics.txt"
 curl -sf "http://$addr/metrics" > "$metrics"
@@ -79,6 +93,10 @@ do
         fail=1
     fi
 done
+if grep -q '^pdbd_frozen_cache_events_total' "$metrics"; then
+    echo "FAIL: pdbd_frozen_cache_events_total is still exposed" >&2
+    fail=1
+fi
 [ "$fail" = 0 ]
 
 # The 1ns threshold makes every request slow: the structured log must carry
